@@ -40,9 +40,7 @@ from repro.analysis.core import (
 HEADER_SUFFIX = "_HEADER"
 QNAME_CONSTRUCTORS = {"QName", "qname"}
 REGISTER_FUNCS = {"register_header"}
-#: _RawHeader is the hot-path XmlElement subclass (prebuilt wire form) —
-#: constructing one with the header constant is every bit an encoder
-ELEMENT_CONSTRUCTORS = {"XmlElement", "_RawHeader"}
+ELEMENT_CONSTRUCTORS = {"XmlElement"}
 
 #: the registry module itself declares no headers of its own
 EXEMPT_MODULES = {"repro.headers"}

@@ -21,6 +21,7 @@ from repro.durability.idempotency import IdempotencyIndex
 from repro.faults import (
     AuthenticationError,
     AuthorizationError,
+    DeadlineExceededError,
     InvalidRequestError,
     JobError,
     PortalError,
@@ -29,11 +30,12 @@ from repro.faults import (
 )
 from repro.grid.jobs import JobSpec
 from repro.grid.queuing.base import BatchScheduler
+from repro.observability.context import TRACEPARENT, TraceContext, traceparent
 from repro.security import crypto
 from repro.security.gsi import GsiError, ProxyCertificate, SimpleCA
 from repro.transport.client import HttpClient
 from repro.transport.http import HttpRequest, HttpResponse
-from repro.transport.network import VirtualNetwork
+from repro.transport.network import ServiceCrash, VirtualNetwork
 
 # ---------------------------------------------------------------------------
 # RSL (Resource Specification Language) subset
@@ -76,11 +78,11 @@ def parse_rsl(rsl: str) -> JobSpec:
         elif key == "arguments":
             spec.arguments = value.split()
         elif key == "count":
-            spec.cpus = int(value)
+            spec.cpus = _rsl_number(int, key, value)
         elif key == "queue":
             spec.queue = value
         elif key == "maxWallTime":
-            spec.wallclock_limit = float(value)
+            spec.wallclock_limit = _rsl_number(float, key, value)
         elif key == "directory":
             spec.directory = value
         elif key == "jobName":
@@ -95,6 +97,15 @@ def parse_rsl(rsl: str) -> JobSpec:
     if not spec.executable:
         raise InvalidRequestError("RSL specifies no executable")
     return spec
+
+
+def _rsl_number(convert, key: str, value: str):
+    try:
+        return convert(value)
+    except ValueError:
+        raise InvalidRequestError(
+            f"RSL {key} is not a number: {value[:30]!r}"
+        ) from None
 
 
 def _rsl_pairs(text: str):
@@ -218,7 +229,9 @@ class Gatekeeper:
         try:
             leaf = deserialize_chain(chain_data)
             identity = self.ca.verify_chain(leaf, now=self.scheduler.clock.now)
-        except (GsiError, KeyError, ValueError) as exc:
+        except (GsiError, KeyError, ValueError, TypeError, AttributeError) as exc:
+            # a mistyped chain (not a list of certificate objects) is as
+            # unauthenticated as a forged one
             raise AuthenticationError(f"GSI authentication failed: {exc}") from exc
         if identity not in self.gridmap:
             raise AuthorizationError(
@@ -287,43 +300,44 @@ class Gatekeeper:
 
     def handle_http(self, request: HttpRequest) -> HttpResponse:
         """The gatekeeper's HTTP face, wrapped in a server span when the
-        observability layer is installed.  GRAM is JSON over HTTP, not SOAP,
-        so the trace context rides the payload's ``trace`` field instead of
-        a header entry."""
+        observability layer is installed.
+
+        The JSON body is parsed once, here; a body that is not a well-typed
+        GRAM request is refused with 400 ``Portal.InvalidRequest`` (and
+        still gets its ``gatekeeper.unknown`` span and RED sample).  The
+        caller's trace context rides the ``Traceparent`` header, as on
+        every SOAP hop.
+        """
+        try:
+            payload = _parse_payload(request.body)
+        except InvalidRequestError as exc:
+            payload, refusal = {}, _error_response(400, exc)
+        else:
+            refusal = None
         obs = (
             getattr(self.network, "observability", None)
             if self.network is not None
             else None
         )
         if obs is None:
-            return self._handle(request)
-        from repro.observability.context import TraceContext
-        from repro.transport.network import ServiceCrash
-
-        op, parent = "", None
-        try:
-            payload = json.loads(request.body)
-            op = str(payload.get("op", ""))
-            trace = payload.get("trace") or {}
-            if trace.get("traceId") and trace.get("spanId"):
-                parent = TraceContext(str(trace["traceId"]), str(trace["spanId"]))
-        except (json.JSONDecodeError, AttributeError):
-            pass
+            return refusal or self._handle(payload)
+        op = payload.get("op") or "unknown"
+        raw_parent = request.headers.get(TRACEPARENT)
+        parent = TraceContext.from_traceparent(raw_parent) if raw_parent else None
         started = obs.clock.now
         span = obs.tracer.start(
-            f"gatekeeper.{op or 'unknown'}",
+            f"gatekeeper.{op}",
             kind="server",
             service="Gatekeeper",
             host=self.host,
             parent=parent,
         )
         try:
-            response = self._handle(request)
+            response = refusal or self._handle(payload)
         except ServiceCrash:
             obs.tracer.end(span, error="ServiceCrash")
             obs.metrics.record_call(
-                "Gatekeeper", op or "unknown", "server",
-                obs.clock.now - started, True,
+                "Gatekeeper", op, "server", obs.clock.now - started, True
             )
             raise
         error = ""
@@ -334,12 +348,11 @@ class Gatekeeper:
                 error = f"HTTP {response.status}"
         obs.tracer.end(span, error=error)
         obs.metrics.record_call(
-            "Gatekeeper", op or "unknown", "server",
-            obs.clock.now - started, bool(error),
+            "Gatekeeper", op, "server", obs.clock.now - started, bool(error)
         )
         return response
 
-    def _handle(self, request: HttpRequest) -> HttpResponse:
+    def _handle(self, payload: dict[str, Any]) -> HttpResponse:
         from repro.resilience.policy import (
             Deadline,
             pop_inbound_deadline,
@@ -347,31 +360,26 @@ class Gatekeeper:
         )
 
         deadline = None
-        try:
-            raw = json.loads(request.body).get("deadline")
-            if raw is not None:
+        raw = payload.get("deadline")
+        if raw is not None:
+            try:
                 deadline = Deadline(float(raw))
-        except (json.JSONDecodeError, AttributeError, TypeError, ValueError):
-            deadline = None  # budget metadata must never break a call
+            except (TypeError, ValueError):
+                pass  # budget metadata must never break a call
         if deadline is not None and deadline.expired(self.scheduler.clock):
-            return HttpResponse(
-                503,
-                body=json.dumps({
-                    "error": "Portal.DeadlineExceeded",
-                    "message": "request deadline passed before dispatch",
-                }),
+            return _error_response(
+                503, DeadlineExceededError("request deadline passed before dispatch")
             )
         if deadline is not None:
             push_inbound_deadline(deadline)
         try:
-            return self._dispatch(request)
+            return self._dispatch(payload)
         finally:
             if deadline is not None:
                 pop_inbound_deadline()
 
-    def _dispatch(self, request: HttpRequest) -> HttpResponse:
+    def _dispatch(self, payload: dict[str, Any]) -> HttpResponse:
         try:
-            payload = json.loads(request.body)
             op = payload.get("op", "")
             chain = payload.get("proxy", [])
             if op == "submit":
@@ -387,21 +395,39 @@ class Gatekeeper:
             else:
                 raise InvalidRequestError(f"unknown GRAM operation {op!r}")
         except (AuthenticationError, AuthorizationError) as exc:
-            return HttpResponse(
-                403, body=json.dumps({"error": exc.code, "message": exc.message})
-            )
+            return _error_response(403, exc)
         except (InvalidRequestError, JobError, ResourceNotFoundError) as exc:
-            return HttpResponse(
-                400, body=json.dumps({"error": exc.code, "message": exc.message})
-            )
-        except (json.JSONDecodeError, KeyError) as exc:
-            return HttpResponse(
-                400,
-                body=json.dumps(
-                    {"error": "Portal.InvalidRequest", "message": str(exc)}
-                ),
-            )
+            return _error_response(400, exc)
+        except KeyError as exc:
+            return _error_response(400, InvalidRequestError(f"missing field {exc}"))
         return HttpResponse(200, body=json.dumps({"result": result}))
+
+
+#: payload fields the gatekeeper reads as strings
+_STRING_FIELDS = ("op", "rsl", "job", "key")
+
+
+def _parse_payload(body: str) -> dict[str, Any]:
+    """Decode a GRAM request body: a JSON object whose string fields are
+    strings, or :class:`InvalidRequestError`."""
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise InvalidRequestError(f"malformed GRAM request: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InvalidRequestError(
+            f"GRAM request must be a JSON object, not {type(payload).__name__}"
+        )
+    for name in _STRING_FIELDS:
+        if name in payload and not isinstance(payload[name], str):
+            raise InvalidRequestError(f"GRAM field {name!r} must be a string")
+    return payload
+
+
+def _error_response(status: int, exc: PortalError) -> HttpResponse:
+    return HttpResponse(
+        status, body=json.dumps({"error": exc.code, "message": exc.message})
+    )
 
 
 class GramClient:
@@ -452,16 +478,19 @@ class GramClient:
         from repro.resilience.policy import current_inbound_deadline
 
         payload = {"op": op, "proxy": self._chain, **fields}
-        if span is not None:
-            payload["trace"] = {"traceId": span.trace_id, "spanId": span.span_id}
         # GRAM is JSON over HTTP, not SOAP, so the inbound request's budget
-        # rides the payload the way the trace context does: a gatekeeper
-        # working past the point the original caller gave up is wasted work.
+        # rides the payload: a gatekeeper working past the point the
+        # original caller gave up is wasted work.
         inherited = current_inbound_deadline()
         if inherited is not None:
             payload["deadline"] = inherited.at
+        headers = (
+            {TRACEPARENT: traceparent(span.trace_id, span.span_id)}
+            if span is not None
+            else None
+        )
         response = self._http.post(
-            f"http://{contact}/jobmanager", json.dumps(payload)
+            f"http://{contact}/jobmanager", json.dumps(payload), headers
         )
         if not response.ok:
             # An error body is only JSON if the gatekeeper itself produced

@@ -1,15 +1,19 @@
 """The SOAP header registry: the portal's cross-cutting protocol vocabulary.
 
-Deadlines, idempotency keys, principals, and trace context all travel as
-SOAP headers.  Each one is a protocol element shared between independent
-implementations, so — like fault codes in :mod:`repro.faults` — the set
-must be enumerable: operators need to know what can appear in an
-envelope, and the static analyzer (REP4xx) verifies that every header a
-module defines is declared here, has an encoder, and has a consumer.
+Four headers travel in SOAP envelopes: the deadline
+(``urn:gce:resilience``), the idempotency key (``urn:gce:durability``),
+the principal (``urn:gce:loadmgmt``), and the replica origin and version
+vector (``urn:gce:replication``).  Trace context is not among them: it
+rides the ``Traceparent`` HTTP header.  Each header is a protocol element
+shared between independent implementations, so — like fault codes in
+:mod:`repro.faults` — the set must be enumerable: operators need to know
+what can appear in an envelope, and the static analyzer (REP4xx) verifies
+that every header a module defines is declared here, has an encoder, and
+has a consumer.
 
 This module deliberately imports nothing but :class:`QName` so that the
 subsystem modules defining headers (resilience, durability, loadmgmt,
-observability) can register during their own import without creating a
+replication) can register during their own import without creating a
 cycle through :mod:`repro.soap`.
 
 Usage, in the module that owns the header::

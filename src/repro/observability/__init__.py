@@ -3,8 +3,8 @@
 See ``docs/OBSERVABILITY.md``.  The layer is opt-in: nothing is traced
 until :meth:`Observability.install` hangs a bundle on the virtual
 network, after which every SOAP client/server and GRAM hop instruments
-itself through the same header-provider and dispatch hooks the security
-and resilience layers already use.
+itself at call time.  Trace context crosses every hop, SOAP and GRAM
+alike, in one wire form: the ``Traceparent`` HTTP header.
 """
 
 from repro.observability.collector import (
@@ -14,8 +14,6 @@ from repro.observability.collector import (
     deploy_trace_collector,
 )
 from repro.observability.context import (
-    TRACE_HEADER,
-    TRACE_NS,
     TRACEPARENT,
     IdGenerator,
     TraceContext,
@@ -30,8 +28,6 @@ from repro.observability.metrics import (
 )
 from repro.observability.runtime import Observability
 from repro.observability.sampling import (
-    SAMPLING_HEADER,
-    SAMPLING_NS,
     KeepErrorsPolicy,
     KeepEventsPolicy,
     LatencyOutlierPolicy,
@@ -39,8 +35,6 @@ from repro.observability.sampling import (
     SamplingPolicy,
     TailSampler,
     default_policies,
-    sampling_from_headers,
-    sampling_header,
 )
 from repro.observability.slo import (
     SLO,
@@ -64,15 +58,11 @@ __all__ = [
     "ProbabilisticPolicy",
     "QuantileSketch",
     "RedSeries",
-    "SAMPLING_HEADER",
-    "SAMPLING_NS",
     "SLO",
     "SamplingPolicy",
     "SloEngine",
     "Span",
     "SpanEvent",
-    "TRACE_HEADER",
-    "TRACE_NS",
     "TRACEPARENT",
     "TailSampler",
     "TraceCollector",
@@ -84,7 +74,5 @@ __all__ = [
     "default_policies",
     "default_slos",
     "deploy_trace_collector",
-    "sampling_from_headers",
-    "sampling_header",
     "traceparent",
 ]

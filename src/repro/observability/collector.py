@@ -120,34 +120,15 @@ class TraceCollector:
         Children sort by start time (ties by finish order); orphaned spans
         (parent never exported, e.g. a crashed server) root at depth 0.
         """
-        spans = [
-            dict(span, _order=index)
-            for index, span in enumerate(self.spans(trace_id))
-        ]
-        known = {s["span_id"] for s in spans}
-        children: dict[str, list[dict[str, Any]]] = {}
-        roots: list[dict[str, Any]] = []
-        for span in spans:
-            if span["parent_id"] in known:
-                children.setdefault(span["parent_id"], []).append(span)
-            else:
-                # no parent, or parent never exported (crashed server)
-                roots.append(span)
-        out: list[dict[str, Any]] = []
+        # imported here, not at module level: the package imports this
+        # module, and ``python -m repro.observability.report`` would then
+        # find the report module already loaded under its own name
+        from repro.observability.report import tree_rows
 
-        def walk(span: dict[str, Any], depth: int) -> None:
-            row = {k: v for k, v in span.items() if k != "_order"}
-            row["depth"] = depth
-            out.append(row)
-            kids = children.get(span["span_id"], [])
-            kids.sort(key=lambda s: (s["start"], s["_order"]))
-            for kid in kids:
-                walk(kid, depth + 1)
-
-        roots.sort(key=lambda s: (s["start"], s["_order"]))
-        for root in roots:
-            walk(root, 0)
-        return out
+        rows = tree_rows(self.spans(trace_id))
+        for row in rows:
+            del row["_order"]
+        return rows
 
     def to_json(self) -> str:
         """Deterministic JSON-lines export: one span per line, sorted keys."""

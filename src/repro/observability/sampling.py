@@ -23,43 +23,22 @@ counts, and latency histograms stay unsampled and exact; the sampler's
 :meth:`~TailSampler.accounting` reconciles kept/dropped totals so nobody
 mistakes the collector's contents for the full population.
 
-The sampling decision context crosses the wire as the registered
-``urn:gce:sampling`` SOAP header (:func:`sampling_header` /
-:func:`sampling_from_headers`): a client under tail sampling stamps each
-request with the mode so downstream hops know the trace is tail-buffered
-and must not head-sample it away.
+Nothing about sampling crosses the wire: every hop of a simulated
+deployment shares the network's one observability bundle, so the hops
+that record a trace's spans also share the sampler that decides it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.headers import register_header
-from repro.observability.context import _RawHeader
 from repro.observability.metrics import QuantileSketch
 from repro.observability.tracer import Span
-from repro.xmlutil.element import XmlElement
-from repro.xmlutil.qname import QName
+from repro.resilience import events as resilience_events
 
-SAMPLING_NS = "urn:gce:sampling"
-
-#: the SOAP header entry carrying the caller's sampling mode
-SAMPLING_HEADER = QName(SAMPLING_NS, "SamplingMode")
-register_header(
-    SAMPLING_HEADER,
-    description="tail-sampling decision context: the caller's sampling mode",
-    module=__name__,
-)
 
 def always_keep_events() -> frozenset[str]:
-    """Event codes that always keep a trace, success or not.
-
-    Computed lazily: the SOAP client imports this module for its header
-    hot path, and ``repro.resilience`` imports the SOAP client, so the
-    vocabulary cannot be pulled in at import time.
-    """
-    from repro.resilience import events as resilience_events
-
+    """Event codes that always keep a trace, success or not."""
     return frozenset({
         resilience_events.BREAKER,
         resilience_events.DEADLINE,
@@ -67,34 +46,6 @@ def always_keep_events() -> frozenset[str]:
         resilience_events.GIVE_UP,
         resilience_events.SHED,
     })
-
-#: one immutable header element per mode, built once — attached to every
-#: outgoing request, so construction must not be per-call work
-_MODE_ENTRIES: dict[str, XmlElement] = {}
-
-
-def sampling_header(mode: str) -> XmlElement:
-    """Encode the sampling mode as its SOAP header entry (cached).
-
-    The raw prebuilt form: the header rides every outgoing request under
-    tail sampling, so neither element construction nor generic
-    serialization may be per-call work (modes are short tokens — no
-    escaping needed).
-    """
-    entry = _MODE_ENTRIES.get(mode)
-    if entry is None:
-        raw = f'<s:SamplingMode xmlns:s="{SAMPLING_NS}" mode="{mode}"/>'
-        entry = _RawHeader(SAMPLING_HEADER, raw, {"mode": mode})
-        _MODE_ENTRIES[mode] = entry
-    return entry
-
-
-def sampling_from_headers(headers: list[XmlElement]) -> str:
-    """The sampling mode riding *headers*, or ``""`` when absent."""
-    for entry in headers:
-        if entry.tag == SAMPLING_HEADER:
-            return (entry.get("mode") or "").strip()
-    return ""
 
 
 class TraceBuffer:
@@ -301,9 +252,6 @@ class TailSampler:
         self.dropped_spans = 0
         self.overflow_decisions = 0
         self.kept_by_policy: dict[str, int] = {}
-        #: sampling modes seen on inbound requests (the header consumer's
-        #: tally — lets operators spot mixed-mode deployments)
-        self.inbound_modes: dict[str, int] = {}
 
     def bind(self, collector) -> None:
         self.collector = collector
@@ -322,10 +270,6 @@ class TailSampler:
             buf.root = span
             del self._buffers[span.trace_id]
             self._decide(buf)
-
-    def note_inbound(self, mode: str) -> None:
-        """Tally a sampling-mode header seen on an inbound request."""
-        self.inbound_modes[mode] = self.inbound_modes.get(mode, 0) + 1
 
     # -- decisions ------------------------------------------------------------------
 
@@ -393,9 +337,5 @@ class TailSampler:
             "kept_by_policy": {
                 name: self.kept_by_policy[name]
                 for name in sorted(self.kept_by_policy)
-            },
-            "inbound_modes": {
-                mode: self.inbound_modes[mode]
-                for mode in sorted(self.inbound_modes)
             },
         }

@@ -95,10 +95,6 @@ class Span:
             self._events = []
         return self._events
 
-    def context(self) -> TraceContext:
-        """The context a child call should propagate."""
-        return TraceContext(self.trace_id, self.span_id)
-
     def add_event(self, t: float, name: str, /, **attributes: Any) -> None:
         # positional-only: bridged attribute dicts may themselves contain
         # "t" or "name" keys (the chaos log stamps a "t" detail)

@@ -23,7 +23,6 @@ from typing import Any, Callable
 
 from repro.faults import DeadlineExceededError, PortalError, retry_after_hint
 from repro.observability.context import TRACEPARENT, traceparent
-from repro.observability.sampling import sampling_header
 from repro.soap.message import (
     SoapEnvelope,
     SoapFault,
@@ -59,21 +58,17 @@ class SoapClient:
         source: str = "client",
         http_client: HttpClient | None = None,
         retry_policy=None,
-        breaker_policy=None,
-        timeout: float | None = None,
         resilience_log=None,
         service_name: str = "",
         retry_seed: int = 0,
         traced: bool = True,
         principal: str = "",
-        priority: int = 0,
     ):
         self.network = network
         self.clock = network.clock
         self.endpoint = endpoint
         self.namespace = namespace
         self.retry_policy = retry_policy
-        self.default_timeout = timeout
         self.log = resilience_log
         self.source = source
         self.service_name = service_name or endpoint
@@ -81,26 +76,16 @@ class SoapClient:
         #: not opted out (dashboard portlets pass ``traced=False`` so the
         #: observability plane does not observe itself)
         self.traced = traced
-        self.http = http_client or HttpClient(
-            network, source, breaker_policy=breaker_policy
-        )
-        if (
-            http_client is not None
-            and breaker_policy is not None
-            and http_client.breaker_policy is None
-        ):
-            http_client.breaker_policy = breaker_policy
+        self.http = http_client or HttpClient(network, source)
         if self.log is not None:
             self.http.breaker_listener = self._record_breaker_transition
         #: the principal (fair-queue lane) this proxy's requests belong to;
         #: empty = no header, the server's anonymous lane
         self.principal = principal
-        self.priority = priority
-        self.header_providers: list[HeaderProvider] = [self._trace_headers]
+        self.header_providers: list[HeaderProvider] = []
         if principal:
             self.header_providers.append(self._principal_headers)
         self.last_response: SoapEnvelope | None = None
-        self._sampling_announced = False
         # per-call span furniture, built once: the wrapper span's name and
         # attribute dict are identical for every call of a given method
         self._span_names: dict[str, str] = {}
@@ -126,39 +111,11 @@ class SoapClient:
             return None
         return getattr(self.network, "observability", None)
 
-    def _trace_headers(self, method: str, params: list[Any]) -> list[XmlElement]:
-        """The built-in header provider for sampling-decision context.
-
-        The trace context itself rides the *transport* header
-        (``Traceparent``, attached in :meth:`_call_once`) — one dict entry
-        instead of an XML element the server must parse on every dispatch.
-        Under tail sampling the client's *first* traced request announces
-        the sampling-mode SOAP header (``urn:gce:sampling``, prebuilt raw
-        form) so the receiving hop knows this caller's traces are
-        tail-buffered and must not be head-sampled away.  The mode is
-        static for the sampler's lifetime, so announcing once per client
-        keeps the steady-state envelope header-free — an envelope with
-        *any* header entry pays the Header-block serialize + parse plus
-        every server-side header scan on each dispatch.
-        """
-        if self._sampling_announced:
-            return []
-        obs = self.obs
-        if obs is None or obs.tracer.current() is None:
-            return []
-        # settled either way: with no sampler there is nothing to announce,
-        # ever, and the flag keeps later calls out of the lookups above
-        self._sampling_announced = True
-        sampler = obs.sampler
-        if sampler is None:
-            return []
-        return [sampling_header(sampler.mode)]
-
     def _principal_headers(self, method: str, params: list[Any]) -> list[XmlElement]:
         """Stamp the request with this proxy's admission lane."""
         from repro.loadmgmt.headers import principal_header
 
-        return [principal_header(self.principal, self.priority)]
+        return [principal_header(self.principal)]
 
     # -- resilience plumbing --------------------------------------------------
 
@@ -263,9 +220,8 @@ class SoapClient:
     ) -> Any:
         """Invoke ``method(*params)`` on the remote service.
 
-        ``timeout`` (virtual seconds, default: the client's ``timeout``)
-        bounds the whole call including retries and backoff; it travels to
-        the server as a deadline header.
+        ``timeout`` (virtual seconds) bounds the whole call including
+        retries and backoff; it travels to the server as a deadline header.
 
         ``idempotency_key`` stamps every attempt of this logical call with
         the same key header (``urn:gce:durability``), so a provider that
@@ -276,14 +232,13 @@ class SoapClient:
         """
         from repro.resilience.policy import Deadline, current_inbound_deadline
 
-        budget = timeout if timeout is not None else self.default_timeout
         # budget propagation: inside a deadline-carrying dispatch, a nested
         # call with no explicit timeout inherits the caller's remaining
         # budget, and an explicit timeout is clamped to it — the absolute
         # deadline riding the headers can only move earlier down the chain
         # (the server enforces this as Portal.BudgetViolation)
         enclosing = current_inbound_deadline()
-        deadline = Deadline.after(self.clock, budget) if budget is not None else None
+        deadline = Deadline.after(self.clock, timeout) if timeout is not None else None
         if enclosing is not None and (
             deadline is None or deadline.at > enclosing.at
         ):

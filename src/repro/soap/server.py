@@ -19,7 +19,6 @@ from repro.durability.idempotency import (
 )
 from repro.faults import InvalidRequestError, PortalError
 from repro.observability.context import TRACEPARENT, TraceContext
-from repro.observability.sampling import sampling_from_headers
 from repro.soap.encoding import decode_value
 from repro.soap.message import (
     SoapEnvelope,
@@ -159,11 +158,10 @@ class SoapService:
         included — never raising, except :class:`ServiceCrash`).
 
         When the observability layer is installed on the serving network, a
-        server span wraps the dispatch: parented by *parent* (the transport
-        ``Traceparent`` header, decoded in :meth:`handle_http`) or by the
-        request's SOAP trace header (``urn:gce:trace``, the interop form)
-        when present, timed on the host clock, with the method's RED sample
-        recorded on completion.  A :class:`ServiceCrash` still exports the
+        server span wraps the dispatch: parented by *parent* (the request's
+        ``Traceparent`` header, decoded in :meth:`handle_http`), timed on
+        the host clock, with the method's RED sample recorded on
+        completion.  A :class:`ServiceCrash` still exports the
         span (error ``ServiceCrash``): the collector is an omniscient
         observer in the simulation, and dropping the span would orphan any
         children it already parented (the GRAM hops that completed before
@@ -175,17 +173,6 @@ class SoapService:
         if obs is None:
             return self._dispatch(envelope)
         method_name = envelope.body.tag.local
-        headers = envelope.headers
-        if headers:
-            if parent is None:
-                parent = TraceContext.from_headers(headers)
-            sampler = getattr(obs, "sampler", None)
-            if sampler is not None:
-                # the sampling-decision header: tally the caller's mode so
-                # mixed-mode deployments surface in the accounting
-                mode = sampling_from_headers(headers)
-                if mode:
-                    sampler.note_inbound(mode)
         cache = self._red_cache
         if cache is None or cache[0] is not obs.metrics:
             cache = self._red_cache = (obs.metrics, {})
@@ -248,7 +235,7 @@ class SoapService:
                 )
             ticket = self._admit(method_name, envelope)
             try:
-                self._shed_if_expired(method_name, envelope, ticket)
+                self._shed_if_expired(method_name, inbound, ticket)
                 exposed = self.methods.get(method_name)
                 if exposed is None:
                     raise InvalidRequestError(
@@ -324,28 +311,24 @@ class SoapService:
             principal, priority=priority, method=method_name
         )
 
-    def _shed_if_expired(
-        self, method_name: str, envelope: SoapEnvelope, ticket=None
-    ) -> None:
+    def _shed_if_expired(self, method_name: str, deadline, ticket=None) -> None:
         """Reject work whose caller's deadline has passed — or *would* pass
         while the request waits its turn in the admission queue.
 
         The client stamps each request with an absolute virtual-time
-        deadline header (:mod:`repro.resilience.policy`); by the time the
-        request has crossed the wire that budget may be spent, and running
-        the method would only produce an answer nobody is waiting for.
+        deadline header (:mod:`repro.resilience.policy`), which
+        :meth:`_dispatch` has already decoded into *deadline* (``None``
+        when absent); by the time the request has crossed the wire that
+        budget may be spent, and running the method would only produce an
+        answer nobody is waiting for.
         The shed's detail always carries the modelled ``queueWait`` so
         clients can tell "server overloaded" (large wait) from "deadline
         too tight" (expired with no queue to blame).
         """
-        if self.clock is None or not envelope.headers:
+        if self.clock is None or deadline is None:
             return
         from repro.faults import DeadlineExceededError
-        from repro.resilience.policy import Deadline
 
-        deadline = Deadline.from_headers(envelope.headers)
-        if deadline is None:
-            return
         queue_wait = ticket.queue_wait if ticket is not None else 0.0
         if deadline.expired(self.clock):
             detail = {

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from repro.faults import (
@@ -133,3 +135,58 @@ def test_malformed_success_body_is_a_retryable_fault(network, grid):
         client.status("flaky.example.org", "1.flaky.example.org")
     assert exc_info.value.retryable
     assert "malformed success body" in exc_info.value.message
+
+
+def _submit_body(**overrides):
+    return {"op": "submit", "rsl": "&(executable=echo)", **overrides}
+
+
+@pytest.mark.parametrize(
+    ("body", "status", "code"),
+    [
+        ([], 400, "Portal.InvalidRequest"),
+        (5, 400, "Portal.InvalidRequest"),
+        ("x", 400, "Portal.InvalidRequest"),
+        (_submit_body(rsl=5), 400, "Portal.InvalidRequest"),
+        (_submit_body(rsl=["x"]), 400, "Portal.InvalidRequest"),
+        (_submit_body(key=["k"]), 400, "Portal.InvalidRequest"),
+        ({"op": "status", "job": ["1"]}, 400, "Portal.InvalidRequest"),
+        (_submit_body(proxy=7), 403, "Portal.Authentication"),
+        (_submit_body(proxy=[1]), 403, "Portal.Authentication"),
+        (_submit_body(proxy="abc"), 403, "Portal.Authentication"),
+    ],
+    ids=repr,
+)
+def test_mistyped_body_gets_a_classified_fault(network, grid, body, status, code):
+    """A request that can never succeed is refused with a JSON error body
+    carrying a ``Portal.*`` code — never the server boundary's text-body
+    500, which the GRAM client would retry as ``ServiceUnavailable``."""
+    from repro.transport.client import HttpClient
+
+    response = HttpClient(network, "client").post(
+        "http://modi4.iu.edu/jobmanager", json.dumps(body)
+    )
+    assert response.status == status
+    assert json.loads(response.body)["error"] == code
+
+
+def test_deadline_rides_the_payload_and_is_checked_before_dispatch(network, grid):
+    from repro.transport.client import HttpClient
+
+    testbed, client, _cred = grid
+    http = HttpClient(network, "client")
+    chain = serialize_chain(client.proxy)
+    expired = http.post(
+        "http://modi4.iu.edu/jobmanager",
+        json.dumps(_submit_body(proxy=chain, deadline=-1.0)),
+    )
+    assert expired.status == 503
+    assert json.loads(expired.body)["error"] == "Portal.DeadlineExceeded"
+    assert testbed["modi4.iu.edu"].gatekeeper.submissions == 0
+    # budget metadata that does not parse is ignored, never fatal
+    unparsed = http.post(
+        "http://modi4.iu.edu/jobmanager",
+        json.dumps(_submit_body(proxy=chain, deadline="soon")),
+    )
+    assert unparsed.status == 200
+    assert testbed["modi4.iu.edu"].gatekeeper.submissions == 1

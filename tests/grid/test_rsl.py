@@ -44,6 +44,8 @@ def test_minimal_rsl():
         "&(noequals)",
         "&(mystery=1)(executable=/bin/x)",
         "&(arguments=a b)",          # no executable
+        "&(executable=x)(count=abc)",         # non-numeric count
+        "&(executable=x)(maxWallTime=soon)",  # non-numeric wall time
     ],
 )
 def test_malformed_rsl_rejected(bad):

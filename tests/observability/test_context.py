@@ -1,51 +1,23 @@
-"""Trace context: wire encoding round-trip and deterministic id minting."""
+"""Trace context: the ``Traceparent`` wire form and deterministic id
+minting."""
 
-from repro.observability.context import (
-    TRACE_HEADER,
-    TRACE_NS,
-    IdGenerator,
-    TraceContext,
-)
-from repro.xmlutil.element import XmlElement
-from repro.xmlutil.qname import QName
+import pytest
+
+from repro.observability.context import IdGenerator, TraceContext, traceparent
 
 
-class TestHeaderRoundTrip:
+class TestTraceparent:
     def test_round_trip(self):
-        ctx = TraceContext("a" * 32, "b" * 16, {"user": "alice", "tier": "gold"})
-        back = TraceContext.from_headers([ctx.to_header()])
-        assert back == ctx
-
-    def test_round_trip_without_baggage(self):
         ctx = TraceContext("0f" * 16, "1e" * 8)
-        assert TraceContext.from_headers([ctx.to_header()]) == ctx
+        value = traceparent(ctx.trace_id, ctx.span_id)
+        assert value == f"00-{'0f' * 16}-{'1e' * 8}-01"
+        assert TraceContext.from_traceparent(value) == ctx
 
-    def test_header_namespace(self):
-        entry = TraceContext("a" * 32, "b" * 16).to_header()
-        assert entry.tag == TRACE_HEADER
-        assert entry.tag.namespace == TRACE_NS
-
-    def test_unrelated_headers_are_skipped(self):
-        other = XmlElement(QName("urn:other", "Deadline"), text="5.0")
-        ctx = TraceContext("a" * 32, "b" * 16)
-        assert TraceContext.from_headers([other, ctx.to_header()]) == ctx
-
-    def test_no_trace_header_returns_none(self):
-        other = XmlElement(QName("urn:other", "Deadline"), text="5.0")
-        assert TraceContext.from_headers([other]) is None
-        assert TraceContext.from_headers([]) is None
-
-    def test_malformed_header_returns_none(self):
-        # a TraceContext entry missing its SpanId must be ignored, not raise
-        entry = XmlElement(TRACE_HEADER)
-        entry.child(QName(TRACE_NS, "TraceId"), text="a" * 32)
-        assert TraceContext.from_headers([entry]) is None
-
-    def test_baggage_without_key_is_dropped(self):
-        entry = TraceContext("a" * 32, "b" * 16, {"k": "v"}).to_header()
-        entry.child(QName(TRACE_NS, "Baggage"), text="orphan")
-        back = TraceContext.from_headers([entry])
-        assert back.baggage == {"k": "v"}
+    @pytest.mark.parametrize(
+        "value", ["", "00-abc", "00--b-01", "00-a--01", "00-a-b-01-extra"]
+    )
+    def test_malformed_value_is_ignored(self, value):
+        assert TraceContext.from_traceparent(value) is None
 
 
 class TestIdGenerator:

@@ -1,8 +1,9 @@
 """Satellite: trace propagation across the paper's composed-service chain.
 
 One portal request crosses four hosts — portal → batch job web service →
-Globusrun web service → GRAM gatekeeper — over two protocols (SOAP headers,
-then the GRAM JSON payload).  Every hop must record the *same* trace id and
+Globusrun web service → GRAM gatekeeper — over two protocols (SOAP, then
+GRAM's JSON over HTTP), with the trace context in the same ``Traceparent``
+HTTP header on every hop.  Every hop must record the *same* trace id and
 link to the correct parent, or the trace tells a broken story.
 """
 
@@ -50,7 +51,7 @@ def test_one_trace_across_four_hosts(chain, obs):
         "call run",            # batch job service: client call to Globusrun
         "run",
         "gram.submit",         # Globusrun: GRAM protocol client hop
-        "gatekeeper.submit",   # the gatekeeper, via the JSON payload
+        "gatekeeper.submit",   # the gatekeeper, over GRAM's JSON protocol
     }
     assert expected <= set(by_name)
 

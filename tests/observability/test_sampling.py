@@ -1,5 +1,5 @@
-"""Tail-based sampling: the policy chain, seeded determinism, accounting,
-and the sampling-mode SOAP header."""
+"""Tail-based sampling: the policy chain, seeded determinism, and
+accounting."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +14,6 @@ from repro.observability.sampling import (
     ProbabilisticPolicy,
     TailSampler,
     TraceBuffer,
-    sampling_from_headers,
-    sampling_header,
 )
 from repro.observability.tracer import Span
 from repro.resilience import events as resilience_events
@@ -150,24 +148,6 @@ class TestTailSampler:
         assert acct["kept_spans"] == len(collector.spans())
         assert acct["kept_by_policy"]["errors"] == 5
         assert acct["mode"] == "tail"
-
-
-class TestSamplingHeader:
-    def test_round_trip(self):
-        entry = sampling_header("tail")
-        assert sampling_from_headers([entry]) == "tail"
-
-    def test_absent_header_is_empty_mode(self):
-        assert sampling_from_headers([]) == ""
-
-    def test_header_entries_are_cached(self):
-        assert sampling_header("tail") is sampling_header("tail")
-
-    def test_inbound_mode_tally(self):
-        sampler, _ = _sampler()
-        sampler.note_inbound("tail")
-        sampler.note_inbound("tail")
-        assert sampler.accounting()["inbound_modes"] == {"tail": 2}
 
 
 class TestEndToEnd:
