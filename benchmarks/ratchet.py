@@ -1,0 +1,117 @@
+"""CI ratchet for the committed benchmark baselines.
+
+Compares a fresh ``BENCH_*.json`` against the committed baseline and fails
+(exit 1) when the figure that benchmark guards regressed more than its
+tolerance.  The ``"benchmark"`` field of the files picks the comparison.
+Every compared figure is a ratio, because absolute timings differ machine
+to machine (a CI runner is not the machine that committed the baseline):
+
+- ``o1_tracing_overhead``: the *normalized* overhead per mode —
+  ``overhead_us_per_call / untraced us_per_call`` — since the overhead
+  *fraction* is the property the hot-path work guards.
+- ``a1_analysis_speed``: the warm-cache *speedup* — cold seconds over
+  warm seconds — since a warm run must skip the checkers, not merely run
+  them faster.  The report's own ``min_warm_speedup`` is a hard floor.
+
+Usage::
+
+    python benchmarks/ratchet.py BASELINE.json CURRENT.json
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+#: a regression is a normalized tracing overhead more than 15% over baseline
+OVERHEAD_TOLERANCE = 1.15
+
+#: a regression is a warm-cache speedup more than 25% below baseline
+SPEEDUP_TOLERANCE = 1.25
+
+
+def normalized_overheads(report: dict) -> dict[str, float]:
+    """Per-mode overhead as a fraction of the untraced per-call cost."""
+    off = report["untraced"]["us_per_call"]
+    return {
+        "traced": report["overhead_us_per_call"] / off,
+        "sampled": report["sampled_overhead_us_per_call"] / off,
+    }
+
+
+def tracing_overhead(baseline: dict, current: dict) -> tuple[list[str], str]:
+    """(regression messages, verdict when none) for the o1 benchmark."""
+    base = normalized_overheads(baseline)
+    cur = normalized_overheads(current)
+    failures = []
+    for mode in sorted(base):
+        if base[mode] <= 0:  # degenerate baseline: nothing to ratchet against
+            continue
+        if cur[mode] > base[mode] * OVERHEAD_TOLERANCE:
+            failures.append(
+                f"{mode} tracing overhead regressed: {cur[mode]:.3f}x of an "
+                f"untraced call vs {base[mode]:.3f}x at baseline "
+                f"(tolerance {OVERHEAD_TOLERANCE:g}x)"
+            )
+    holds = (
+        f"traced {cur['traced']:.3f}x, sampled {cur['sampled']:.3f}x of an "
+        f"untraced call (tolerance {OVERHEAD_TOLERANCE:g}x vs baseline)"
+    )
+    return failures, holds
+
+
+def analysis_speed(baseline: dict, current: dict) -> tuple[list[str], str]:
+    """(regression messages, verdict when none) for the a1 benchmark."""
+    base = baseline["warm_speedup"]
+    cur = current["warm_speedup"]
+    failures = []
+    if base > 0 and cur < base / SPEEDUP_TOLERANCE:
+        failures.append(
+            f"warm-cache speedup regressed: {cur:.2f}x vs {base:.2f}x at "
+            f"baseline (tolerance: within {SPEEDUP_TOLERANCE:g}x of baseline)"
+        )
+    floor = current.get("min_warm_speedup", 0)
+    if cur < floor:
+        failures.append(
+            f"warm-cache speedup {cur:.2f}x is below the hard floor "
+            f"{floor:g}x — the fast path is no longer skipping the checkers"
+        )
+    holds = (
+        f"warm cache {cur:.2f}x faster than cold (baseline {base:.2f}x, "
+        f"tolerance {SPEEDUP_TOLERANCE:g}x)"
+    )
+    return failures, holds
+
+
+#: the ``"benchmark"`` field -> its comparison
+RATCHETS = {
+    "o1_tracing_overhead": tracing_overhead,
+    "a1_analysis_speed": analysis_speed,
+}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    baseline = json.loads(Path(argv[1]).read_text(encoding="utf-8"))
+    current = json.loads(Path(argv[2]).read_text(encoding="utf-8"))
+    name = current.get("benchmark")
+    if name not in RATCHETS or baseline.get("benchmark") != name:
+        print(
+            f"no ratchet compares baseline {baseline.get('benchmark')!r} "
+            f"with current {name!r}; known: {', '.join(sorted(RATCHETS))}",
+            file=sys.stderr,
+        )
+        return 2
+    failures, holds = RATCHETS[name](baseline, current)
+    for line in failures:
+        print(f"RATCHET FAIL: {line}", file=sys.stderr)
+    if not failures:
+        print(f"ratchet holds: {holds}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -7,7 +7,7 @@ report from ``.analysis-cache/`` without running a single checker.  This
 benchmark measures both over the real ``src/repro`` tree, checks the
 reports are byte-identical, and records cold µs/file, files/sec, and the
 warm speedup in ``BENCH_analysis.json`` so cache regressions are
-diffable across PRs (see ``benchmarks/ratchet_analysis.py``).
+diffable across PRs (``benchmarks/ratchet.py`` fails CI on a regression).
 """
 
 from __future__ import annotations

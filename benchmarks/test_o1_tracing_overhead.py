@@ -19,8 +19,9 @@ start to finish, then the next" design is visibly unstable on shared
 hardware.
 
 The verdict lands in ``BENCH_observability.json`` at the repo root; CI's
-ratchet step (tier2-trace) fails the build if the normalized overhead
-regresses more than 15% against the committed baseline.
+ratchet step (tier2-trace, ``benchmarks/ratchet.py``) fails the build if
+the normalized overhead regresses more than 15% against the committed
+baseline.
 """
 
 from __future__ import annotations

@@ -241,9 +241,9 @@ class PropagationChecker(Checker):
                         "REP902",
                         f"{symbol} posts over raw HTTP on a dispatch path "
                         "without threading the inbound context — attach the "
-                        "deadline budget (current_inbound_deadline) and "
-                        "trace context to the egress payload, or go through "
-                        "the SOAP client",
+                        "deadline budget (current_inbound_deadline) to the "
+                        "egress payload and the trace context as a "
+                        "Traceparent header, or go through the SOAP client",
                         call,
                         checker=self.name,
                         symbol=symbol,

@@ -1,17 +1,13 @@
-"""REP6xx — simulation-testing oracles: registered and deterministic.
+"""REP6xx — simulation-testing oracles: registered.
 
 The simtest harness only runs the invariant oracles it finds in the
 registry; an ``Oracle`` subclass someone forgets to decorate with
-``@register_oracle`` silently checks nothing.  And an oracle is replayed
-byte-identically from a seed, so its verdicts must be pure functions of
-the simulated world: wall-clock reads or unseeded randomness inside an
-oracle make a failing seed unreproducible — the one property the whole
-harness exists to provide.
+``@register_oracle`` silently checks nothing.
 
-Vocabulary (shared with the determinism checker): ``TIME_CALLS``,
-``DATETIME_CALLS`` and the seeded-``random.Random`` rule are imported
-from :mod:`repro.analysis.checkers.determinism` so the two rule families
-cannot drift apart.
+An oracle is also replayed byte-identically from a seed, so its verdicts
+must be pure functions of the simulated world.  The determinism rules
+(REP101-REP103) already flag every wall-clock read and unseeded random
+draw in every module, oracles included, so this family adds none.
 """
 
 from __future__ import annotations
@@ -19,19 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import import_aliases, resolve_call_path
-from repro.analysis.checkers.determinism import (
-    DATETIME_CALLS,
-    RANDOM_ALLOWED_ATTRS,
-    TIME_CALLS,
-)
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    Project,
-    SourceModule,
-    register_checker,
-)
+from repro.analysis.core import Checker, Finding, Project, register_checker
 
 #: the registry decorator an oracle must carry (bare name or attribute:
 #: ``@register_oracle`` / ``@oracles.register_oracle``)
@@ -54,13 +38,9 @@ def _carries_registry_decorator(node: ast.ClassDef) -> bool:
 @register_checker
 class SimtestOracleChecker(Checker):
     name = "simtest"
-    description = (
-        "invariant oracles registered with the simtest registry and free "
-        "of wall-clock or unseeded randomness"
-    )
+    description = "invariant oracles registered with the simtest registry"
     codes = {
         "REP601": "concrete Oracle subclass not decorated with @register_oracle",
-        "REP602": "wall-clock or unseeded randomness inside an invariant oracle",
     }
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -88,45 +68,3 @@ class SimtestOracleChecker(Checker):
                     checker=self.name,
                     symbol=name,
                 )
-            yield from self._check_determinism(module, node)
-
-    def _check_determinism(
-        self, module: SourceModule, cls: ast.ClassDef
-    ) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(cls):
-            if not isinstance(node, ast.Call):
-                continue
-            path = resolve_call_path(node.func, aliases)
-            if not path:
-                continue
-            if path in TIME_CALLS or path in DATETIME_CALLS:
-                yield module.finding(
-                    "REP602",
-                    f"oracle {cls.name} calls {path}() — verdicts must be "
-                    "a pure function of the simulated world; read "
-                    "world.clock.now() instead",
-                    node,
-                    checker=self.name,
-                    symbol=cls.name,
-                )
-            elif path == "random.Random":
-                if not node.args and not node.keywords:
-                    yield module.finding(
-                        "REP602",
-                        f"oracle {cls.name} constructs random.Random() "
-                        "without a seed — derive the seed from the run seed",
-                        node,
-                        checker=self.name,
-                        symbol=cls.name,
-                    )
-            elif path.startswith("random.") and path.count(".") == 1:
-                if path.split(".", 1)[1] not in RANDOM_ALLOWED_ATTRS:
-                    yield module.finding(
-                        "REP602",
-                        f"oracle {cls.name} calls {path}() on the shared "
-                        "unseeded generator — a failing seed would not replay",
-                        node,
-                        checker=self.name,
-                        symbol=cls.name,
-                    )

@@ -9,24 +9,14 @@ SOAP so dashboard refreshes never pollute the traces they display.
 
 from __future__ import annotations
 
-import html
-from typing import Any
-
-from repro.portlets.base import Portlet
+from repro.loadmgmt.metascheduler import METASCHEDULER_NAMESPACE
+from repro.portlets.base import Row, html_table
+from repro.services.monitoring import MonitoringPortlet
 from repro.soap.client import SoapClient
 from repro.transport.network import VirtualNetwork
 
-MONITORING_NAMESPACE = "urn:gce:job-monitoring"
-METASCHEDULER_NAMESPACE = "urn:gce:metascheduler"
 
-
-def _esc(value: Any) -> str:
-    """Lane names arrive from client-supplied Principal headers and
-    contacts/queues from descriptors — all untrusted in portal markup."""
-    return html.escape(str(value), quote=True)
-
-
-class LoadPortlet(Portlet):
+class LoadPortlet(MonitoringPortlet):
     """Lane occupancy, per-queue load, and metascheduler placements.
 
     ``monitor_endpoint`` serves the ``load_lanes``/``load_summary``/
@@ -46,15 +36,10 @@ class LoadPortlet(Portlet):
         source: str = "portal",
         tail: int = 10,
     ):
-        super().__init__(name, title)
-        self.tail = tail
-        self._monitor = SoapClient(
-            network,
-            monitor_endpoint,
-            MONITORING_NAMESPACE,
-            source=source,
-            traced=False,
+        super().__init__(
+            network, monitor_endpoint, name=name, title=title, source=source
         )
+        self.tail = tail
         self._metascheduler = None
         if metascheduler_endpoint:
             self._metascheduler = SoapClient(
@@ -68,78 +53,62 @@ class LoadPortlet(Portlet):
     # -- sections ------------------------------------------------------------------
 
     def _render_lanes(self) -> str:
-        lanes = self._monitor.call("load_lanes")
+        lanes = self._client.call("load_lanes")
         if not lanes:
             return '<p class="load-lanes">no admission-controlled services</p>'
-        cells = ['<table class="load-lanes">'
-                 "<tr><th>service</th><th>lane</th><th>weight</th>"
-                 "<th>priority</th><th>arrived</th><th>admitted</th>"
-                 "<th>shed</th><th>queued</th><th>mean wait s</th>"
-                 "<th>max wait s</th></tr>"]
-        for row in lanes:
-            cells.append(
-                f"<tr><td>{_esc(row['service'])}</td><td>{_esc(row['lane'])}</td>"
-                f"<td>{_esc(row['weight'])}</td><td>{_esc(row['priority'])}</td>"
-                f"<td>{_esc(row['arrived'])}</td><td>{_esc(row['admitted'])}</td>"
-                f"<td>{_esc(row['shed'])}</td><td>{_esc(row['queued'])}</td>"
-                f"<td>{row['mean_wait']:.3f}</td>"
-                f"<td>{row['max_wait']:.3f}</td></tr>"
-            )
-        cells.append("</table>")
-        return "".join(cells)
+        return html_table(
+            "load-lanes",
+            ("service", "lane", "weight", "priority", "arrived", "admitted",
+             "shed", "queued", "mean wait s", "max wait s"),
+            [
+                (row["service"], row["lane"], row["weight"], row["priority"],
+                 row["arrived"], row["admitted"], row["shed"], row["queued"],
+                 f"{row['mean_wait']:.3f}", f"{row['max_wait']:.3f}")
+                for row in lanes
+            ],
+        )
 
     def _render_queues(self) -> str:
-        rows = self._monitor.call("queue_load")
+        rows = self._client.call("queue_load")
         if not rows:
             return ""
-        cells = ['<table class="queue-load">'
-                 "<tr><th>host</th><th>queue</th><th>depth</th>"
-                 "<th>running</th><th>completed</th>"
-                 "<th>drain /s</th></tr>"]
-        for row in rows:
-            cells.append(
-                f"<tr><td>{_esc(row['host'])}</td><td>{_esc(row['queue'])}</td>"
-                f"<td>{_esc(row['depth'])}</td><td>{_esc(row['running'])}</td>"
-                f"<td>{_esc(row['completed'])}</td>"
-                f"<td>{row['drain_rate']:.4f}</td></tr>"
-            )
-        cells.append("</table>")
-        return "".join(cells)
+        return html_table(
+            "queue-load",
+            ("host", "queue", "depth", "running", "completed", "drain /s"),
+            [
+                (row["host"], row["queue"], row["depth"], row["running"],
+                 row["completed"], f"{row['drain_rate']:.4f}")
+                for row in rows
+            ],
+        )
 
     def _render_placements(self) -> str:
         if self._metascheduler is None:
             return ""
         decisions = self._metascheduler.call("placements", self.tail)
         targets = self._metascheduler.call("targets")
-        cells = ['<table class="placement-targets">'
-                 "<tr><th>contact</th><th>system</th><th>cpus</th>"
-                 "<th>breaker</th><th>excluded</th><th>p95 s</th></tr>"]
-        for row in targets:
-            state = "excluded" if row["excluded"] else "ok"
-            cells.append(
-                f'<tr class="target-{state}"><td>{_esc(row["contact"])}</td>'
-                f"<td>{_esc(row['queuing_system'])}</td><td>{_esc(row['cpus'])}</td>"
-                f"<td>{_esc(row['breaker'])}</td><td>{_esc(row['excluded'])}</td>"
-                f"<td>{row['p95']:.3f}</td></tr>"
-            )
-        cells.append("</table>")
-        if decisions:
-            cells.append('<table class="placement-decisions">'
-                         "<tr><th>at</th><th>job</th><th>executable</th>"
-                         "<th>contact</th><th>queue</th><th>policy</th>"
-                         "<th>depth</th></tr>")
-            for row in decisions:
-                cells.append(
-                    f"<tr><td>{row['at']:.3f}</td><td>{_esc(row['job'])}</td>"
-                    f"<td>{_esc(row['executable'])}</td>"
-                    f"<td>{_esc(row['contact'])}</td><td>{_esc(row['queue'])}</td>"
-                    f"<td>{_esc(row['policy'])}</td>"
-                    f"<td>{_esc(row['depth'])}</td></tr>"
-                )
-            cells.append("</table>")
-        else:
-            cells.append('<p class="placement-decisions">no placements yet</p>')
-        return "".join(cells)
+        out = html_table(
+            "placement-targets",
+            ("contact", "system", "cpus", "breaker", "excluded", "p95 s"),
+            [
+                Row("target-excluded" if row["excluded"] else "target-ok", (
+                    row["contact"], row["queuing_system"], row["cpus"],
+                    row["breaker"], row["excluded"], f"{row['p95']:.3f}",
+                ))
+                for row in targets
+            ],
+        )
+        if not decisions:
+            return out + '<p class="placement-decisions">no placements yet</p>'
+        return out + html_table(
+            "placement-decisions",
+            ("at", "job", "executable", "contact", "queue", "policy", "depth"),
+            [
+                (f"{row['at']:.3f}", row["job"], row["executable"],
+                 row["contact"], row["queue"], row["policy"], row["depth"])
+                for row in decisions
+            ],
+        )
 
     def render(self, container_base: str) -> str:
         return (

@@ -17,7 +17,7 @@ completes, then runs a deterministic policy chain:
    deterministic fraction of the boring rest.
 
 Everything is seeded — two same-seed runs keep byte-identical trace sets
-(the determinism the ``repro.analysis`` REP701 checker enforces).  RED
+(the determinism the ``repro.analysis`` REP103 rule enforces).  RED
 metrics are recorded *before* the sampler sees anything, so rates, error
 counts, and latency histograms stay unsampled and exact; the sampler's
 :meth:`~TailSampler.accounting` reconciles kept/dropped totals so nobody
@@ -65,7 +65,7 @@ class SamplingPolicy:
     ``decide`` returns ``True`` to keep the trace (the chain stops) or
     ``None`` for no opinion (the chain continues); a trace no policy
     claims is dropped.  Policies must be deterministic: any randomness
-    must come from an explicit seed (REP701).
+    must come from an explicit seed (REP103).
     """
 
     name = "policy"

@@ -10,12 +10,12 @@ status, and grid-wide load — plus a ready-made portlet rendering it.
 
 from __future__ import annotations
 
-import html
+from operator import itemgetter
 from typing import Any
 
 from repro.faults import ResourceNotFoundError
 from repro.grid.resources import ComputeResource
-from repro.portlets.base import Portlet
+from repro.portlets.base import Markup, Portlet, Row, _esc, html_table
 from repro.soap.client import SoapClient
 from repro.soap.server import SoapService
 from repro.transport.network import VirtualNetwork
@@ -367,14 +367,29 @@ def deploy_monitoring(
     return impl, soap.mount(server, "/monitor")
 
 
-def _esc(value: Any) -> str:
-    """Every portlet cell goes through here: service-returned strings are
-    untrusted (job names, hostnames, error messages) and must not inject
-    markup into the portal page."""
-    return html.escape(str(value), quote=True)
+class MonitoringPortlet(Portlet):
+    """A dashboard window over the job-monitoring service.
+
+    Its client is untraced, so dashboard refreshes never pollute the traces
+    and RED series they display.
+    """
+
+    def __init__(
+        self,
+        network: VirtualNetwork,
+        endpoint: str,
+        *,
+        name: str,
+        title: str,
+        source: str,
+    ):
+        super().__init__(name, title)
+        self._client = SoapClient(
+            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
+        )
 
 
-class GridLoadPortlet(Portlet):
+class GridLoadPortlet(MonitoringPortlet):
     """A local portlet rendering the monitoring service's grid-load view —
     the HotPage-style machine-status window."""
 
@@ -387,27 +402,21 @@ class GridLoadPortlet(Portlet):
         title: str = "Grid load",
         source: str = "portal",
     ):
-        super().__init__(name, title)
-        self._client = SoapClient(
-            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
-        )
+        super().__init__(network, endpoint, name=name, title=title, source=source)
 
     def render(self, container_base: str) -> str:
-        rows = self._client.call("grid_load")
-        cells = ['<table class="grid-load">'
-                 "<tr><th>host</th><th>system</th><th>free/total cpus</th>"
-                 "<th>running</th><th>queued</th></tr>"]
-        for row in rows:
-            cells.append(
-                f"<tr><td>{_esc(row['host'])}</td><td>{_esc(row['system'])}</td>"
-                f"<td>{_esc(row['free_cpus'])}/{_esc(row['cpus'])}</td>"
-                f"<td>{_esc(row['running'])}</td><td>{_esc(row['queued'])}</td></tr>"
-            )
-        cells.append("</table>")
-        return "".join(cells)
+        return html_table(
+            "grid-load",
+            ("host", "system", "free/total cpus", "running", "queued"),
+            [
+                (row["host"], row["system"], f"{row['free_cpus']}/{row['cpus']}",
+                 row["running"], row["queued"])
+                for row in self._client.call("grid_load")
+            ],
+        )
 
 
-class ResilienceEventsPortlet(Portlet):
+class ResilienceEventsPortlet(MonitoringPortlet):
     """The resilience window: headline counts by event code plus the tail of
     the retry/breaker-trip/failover stream, fetched over SOAP from the
     monitoring service."""
@@ -422,36 +431,24 @@ class ResilienceEventsPortlet(Portlet):
         source: str = "portal",
         tail: int = 20,
     ):
-        super().__init__(name, title)
+        super().__init__(network, endpoint, name=name, title=title, source=source)
         self.tail = tail
-        self._client = SoapClient(
-            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
-        )
 
     def render(self, container_base: str) -> str:
         summary = self._client.call("resilience_summary")
         events = self._client.call("resilience_events", self.tail)
-        cells = ['<table class="resilience-summary">'
-                 "<tr><th>event</th><th>count</th></tr>"]
-        for row in summary:
-            cells.append(
-                f"<tr><td>{_esc(row['code'])}</td><td>{_esc(row['count'])}</td></tr>"
-            )
-        cells.append("</table>")
-        cells.append('<table class="resilience-events">'
-                     "<tr><th>code</th><th>service</th><th>operation</th>"
-                     "<th>message</th></tr>")
-        for event in events:
-            cells.append(
-                f"<tr><td>{_esc(event['code'])}</td><td>{_esc(event['service'])}</td>"
-                f"<td>{_esc(event['operation'])}</td>"
-                f"<td>{_esc(event['message'])}</td></tr>"
-            )
-        cells.append("</table>")
-        return "".join(cells)
+        return html_table(
+            "resilience-summary",
+            ("event", "count"),
+            map(itemgetter("code", "count"), summary),
+        ) + html_table(
+            "resilience-events",
+            ("code", "service", "operation", "message"),
+            map(itemgetter("code", "service", "operation", "message"), events),
+        )
 
 
-class TraceViewPortlet(Portlet):
+class TraceViewPortlet(MonitoringPortlet):
     """The span-waterfall window: one trace's tree with per-span timing
     bars, fetched over SOAP from the monitoring service.
 
@@ -469,11 +466,8 @@ class TraceViewPortlet(Portlet):
         source: str = "portal",
         trace_id: str = "",
     ):
-        super().__init__(name, title)
+        super().__init__(network, endpoint, name=name, title=title, source=source)
         self.trace_id = trace_id
-        self._client = SoapClient(
-            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
-        )
 
     def render(self, container_base: str) -> str:
         trace_id = self.trace_id
@@ -491,30 +485,29 @@ class TraceViewPortlet(Portlet):
         t0 = min(r["start"] for r in rows)
         t1 = max(r["end"] for r in rows)
         width = max(t1 - t0, 1e-9)
-        cells = [
-            f'<table class="trace-view" data-trace="{_esc(trace_id)}">'
-            "<tr><th>span</th><th>service</th><th>ms</th>"
-            "<th>events</th><th>waterfall</th></tr>"
-        ]
+        spans = []
         for row in rows:
             offset = 100.0 * (row["start"] - t0) / width
             length = max(100.0 * (row["end"] - row["start"]) / width, 0.5)
             label = "&nbsp;" * 2 * int(row["depth"]) + _esc(row["name"])
-            state = "error" if row["error"] else "ok"
-            events = ", ".join(e["name"] for e in row["events"])
-            cells.append(
-                f'<tr class="span-{state}"><td>{label}</td>'
-                f"<td>{_esc(row['service'])}</td>"
-                f"<td>{(row['end'] - row['start']) * 1000:.2f}</td>"
-                f"<td>{_esc(events)}</td>"
-                f'<td><div class="bar" style="margin-left:{offset:.1f}%;'
-                f'width:{length:.1f}%"></div></td></tr>'
+            bar = (
+                f'<div class="bar" style="margin-left:{offset:.1f}%;'
+                f'width:{length:.1f}%"></div>'
             )
-        cells.append("</table>")
-        return "".join(cells)
+            spans.append(Row("span-error" if row["error"] else "span-ok", (
+                Markup(label), row["service"],
+                f"{(row['end'] - row['start']) * 1000:.2f}",
+                ", ".join(e["name"] for e in row["events"]), Markup(bar),
+            )))
+        return html_table(
+            "trace-view",
+            ("span", "service", "ms", "events", "waterfall"),
+            spans,
+            attrs={"data-trace": trace_id},
+        )
 
 
-class ReplicationPortlet(Portlet):
+class ReplicationPortlet(MonitoringPortlet):
     """The multi-region window: per-region replication lag, hint backlog,
     store digests, and the last partition-heal time, fetched over SOAP from
     the monitoring service.  Every cell is escaped — region names and
@@ -530,36 +523,30 @@ class ReplicationPortlet(Portlet):
         title: str = "Replication status",
         source: str = "portal",
     ):
-        super().__init__(name, title)
-        self._client = SoapClient(
-            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
-        )
+        super().__init__(network, endpoint, name=name, title=title, source=source)
 
     def render(self, container_base: str) -> str:
         rows = self._client.call("replication_summary")
         if not rows:
             return '<p class="replication">no replication topology</p>'
-        cells = ['<table class="replication">'
-                 "<tr><th>region</th><th>host</th><th>entries</th>"
-                 "<th>digest</th><th>lag s</th><th>hint backlog</th>"
-                 "<th>context seq</th><th>last heal</th></tr>"]
+        regions = []
         for row in rows:
             lag = row["lag_s"]
-            lag_text = f"{lag:.3f}" if lag >= 0 else "never"
             heal = row.get("last_heal_t", -1.0)
-            heal_text = f"{heal:.3f}" if heal >= 0 else "-"
-            cells.append(
-                f"<tr><td>{_esc(row['region'])}</td><td>{_esc(row['host'])}</td>"
-                f"<td>{_esc(row['entries'])}</td><td>{_esc(row['digest'])}</td>"
-                f"<td>{_esc(lag_text)}</td><td>{_esc(row['hint_backlog'])}</td>"
-                f"<td>{_esc(row['context_seq'])}</td>"
-                f"<td>{_esc(heal_text)}</td></tr>"
-            )
-        cells.append("</table>")
-        return "".join(cells)
+            regions.append((
+                row["region"], row["host"], row["entries"], row["digest"],
+                f"{lag:.3f}" if lag >= 0 else "never", row["hint_backlog"],
+                row["context_seq"], f"{heal:.3f}" if heal >= 0 else "-",
+            ))
+        return html_table(
+            "replication",
+            ("region", "host", "entries", "digest", "lag s", "hint backlog",
+             "context seq", "last heal"),
+            regions,
+        )
 
 
-class SLOPortlet(Portlet):
+class SLOPortlet(MonitoringPortlet):
     """The promises window: one row per objective with its burn rate and
     alert state, then the firing alerts with their exemplar trace links
     (each exemplar renders as a ``trace_tree`` query URL against the
@@ -574,53 +561,49 @@ class SLOPortlet(Portlet):
         title: str = "Service-level objectives",
         source: str = "portal",
     ):
-        super().__init__(name, title)
+        super().__init__(network, endpoint, name=name, title=title, source=source)
         self.endpoint = endpoint
-        self._client = SoapClient(
-            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
-        )
 
     def render(self, container_base: str) -> str:
         rows = self._client.call("slo_summary")
         if not rows:
             return '<p class="slo">no objectives defined</p>'
-        cells = ['<table class="slo-summary">'
-                 "<tr><th>slo</th><th>operation</th><th>objective</th>"
-                 "<th>target</th><th>good</th><th>burn</th><th>state</th></tr>"]
-        for row in rows:
-            cells.append(
-                f'<tr class="slo-{_esc(row["state"])}">'
-                f"<td>{_esc(row['slo'])}</td>"
-                f"<td>{_esc(row['service'])}.{_esc(row['method'])}</td>"
-                f"<td>{_esc(row['objective'])}</td>"
-                f"<td>{_esc(row['target'])}</td>"
-                f"<td>{_esc(row['good_fraction'])}</td>"
-                f"<td>{_esc(row['burn_rate'])}</td>"
-                f"<td>{_esc(row['state'])}</td></tr>"
-            )
-        cells.append("</table>")
+        out = html_table(
+            "slo-summary",
+            ("slo", "operation", "objective", "target", "good", "burn",
+             "state"),
+            [
+                Row(f"slo-{row['state']}", (
+                    row["slo"], f"{row['service']}.{row['method']}",
+                    row["objective"], row["target"], row["good_fraction"],
+                    row["burn_rate"], row["state"],
+                ))
+                for row in rows
+            ],
+        )
         alerts = self._client.call("slo_alerts")
-        if alerts:
-            cells.append('<table class="slo-alerts">'
-                         "<tr><th>alert</th><th>since</th><th>burn slow/fast</th>"
-                         "<th>exemplars</th></tr>")
-            for alert in alerts:
-                links = " ".join(
-                    f'<a href="{_esc(self.endpoint)}?method=trace_tree'
-                    f'&amp;trace_id={_esc(trace_id)}">{_esc(trace_id[:8])}</a>'
-                    for trace_id in alert["exemplars"]
-                )
-                cells.append(
-                    f"<tr><td>{_esc(alert['slo'])}</td>"
-                    f"<td>{_esc(alert['since'])}</td>"
-                    f"<td>{_esc(alert['slow_burn'])}/{_esc(alert['fast_burn'])}</td>"
-                    f"<td>{links or '-'}</td></tr>"
-                )
-            cells.append("</table>")
-        return "".join(cells)
+        if not alerts:
+            return out
+        firing = []
+        for alert in alerts:
+            links = " ".join(
+                f'<a href="{_esc(self.endpoint)}?method=trace_tree'
+                f'&amp;trace_id={_esc(trace_id)}">{_esc(trace_id[:8])}</a>'
+                for trace_id in alert["exemplars"]
+            )
+            firing.append((
+                alert["slo"], alert["since"],
+                f"{alert['slow_burn']}/{alert['fast_burn']}",
+                Markup(links or "-"),
+            ))
+        return out + html_table(
+            "slo-alerts",
+            ("alert", "since", "burn slow/fast", "exemplars"),
+            firing,
+        )
 
 
-class MetricsPortlet(Portlet):
+class MetricsPortlet(MonitoringPortlet):
     """The RED table: request/error counts and latency percentiles per
     service method, plus the gauge table (breaker states, queue depths)."""
 
@@ -633,31 +616,21 @@ class MetricsPortlet(Portlet):
         title: str = "Service metrics",
         source: str = "portal",
     ):
-        super().__init__(name, title)
-        self._client = SoapClient(
-            network, endpoint, MONITORING_NAMESPACE, source=source, traced=False
-        )
+        super().__init__(network, endpoint, name=name, title=title, source=source)
 
     def render(self, container_base: str) -> str:
         summary = self._client.call("metrics_summary")
-        cells = ['<table class="red-metrics">'
-                 "<tr><th>service</th><th>method</th><th>side</th>"
-                 "<th>requests</th><th>errors</th><th>mean ms</th>"
-                 "<th>p95 ms</th></tr>"]
-        for row in summary["red"]:
-            cells.append(
-                f"<tr><td>{_esc(row['service'])}</td><td>{_esc(row['method'])}</td>"
-                f"<td>{_esc(row['side'])}</td><td>{_esc(row['requests'])}</td>"
-                f"<td>{_esc(row['errors'])}</td><td>{_esc(row['mean_ms'])}</td>"
-                f"<td>{_esc(row['p95_ms'])}</td></tr>"
-            )
-        cells.append("</table>")
-        cells.append('<table class="gauges">'
-                     "<tr><th>gauge</th><th>label</th><th>value</th></tr>")
-        for row in summary["gauges"]:
-            cells.append(
-                f"<tr><td>{_esc(row['gauge'])}</td><td>{_esc(row['label'])}</td>"
-                f"<td>{_esc(row['value'])}</td></tr>"
-            )
-        cells.append("</table>")
-        return "".join(cells)
+        red = itemgetter(
+            "service", "method", "side", "requests", "errors", "mean_ms",
+            "p95_ms",
+        )
+        return html_table(
+            "red-metrics",
+            ("service", "method", "side", "requests", "errors", "mean ms",
+             "p95 ms"),
+            map(red, summary["red"]),
+        ) + html_table(
+            "gauges",
+            ("gauge", "label", "value"),
+            map(itemgetter("gauge", "label", "value"), summary["gauges"]),
+        )

@@ -11,17 +11,8 @@ from a provenance node to the span waterfall that produced it.
 
 from __future__ import annotations
 
-import html
-from typing import Any
-
-from repro.portlets.base import Portlet
+from repro.portlets.base import Portlet, _esc
 from repro.shell.provenance import ProvenanceStore
-
-
-def _esc(value: Any) -> str:
-    """Stage names, error messages, and addresses all go through here —
-    workflow definitions are user-supplied and must not inject markup."""
-    return html.escape(str(value), quote=True)
 
 
 class WorkflowPortlet(Portlet):

@@ -11,6 +11,7 @@ while plain strings remain fully supported).
 from __future__ import annotations
 
 import base64
+import re
 from typing import Any
 
 from repro.faults import PortalError
@@ -24,6 +25,19 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema"
 _TYPE_ATTR = QName(XSI_NS, "type")
 _NIL_ATTR = QName(XSI_NS, "nil")
 _ARRAY_TYPE_ATTR = QName(SOAP_ENC_NS, "arrayType")
+
+#: a struct key that travels unchanged as its element name
+_PLAIN_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9._-]*")
+
+#: the characters any other key escapes: the underscore of ``_x``, one an
+#: element name may not hold, and a first one a name may not start with
+_KEY_ESCAPES = re.compile(r"_(?=x)|[^A-Za-z0-9._-]|^[0-9.-]")
+
+#: one escaped character, the SQL/XML and .NET ``XmlConvert`` form
+_ESCAPED_CHAR = re.compile(r"_x([0-9A-F]{4}|[0-9A-F]{8})_")
+
+#: the element name of the empty key (no escaped key takes this form)
+_EMPTY_KEY = "_x_"
 
 
 class SoapEncodingError(PortalError, ValueError):
@@ -45,6 +59,32 @@ def encode_value(name: str | QName, value: Any) -> XmlElement:
     node = XmlElement(name)
     _encode_into(node, value)
     return node
+
+
+def _key_to_name(key: str) -> str:
+    """The element name a struct key crosses the wire as: each character
+    that would not make a well-formed name becomes ``_xHHHH_``
+    (``_xHHHHHHHH_`` beyond the BMP)."""
+    if "_x" not in key and _PLAIN_KEY.fullmatch(key):
+        return key
+    return _KEY_ESCAPES.sub(_escape_char, key) if key else _EMPTY_KEY
+
+
+def _escape_char(match: re.Match) -> str:
+    code = ord(match[0])
+    return f"_x{code:04X}_" if code <= 0xFFFF else f"_x{code:08X}_"
+
+
+def _name_to_key(name: str) -> str:
+    """The struct key an element name carries (inverse of _key_to_name)."""
+    if name == _EMPTY_KEY:
+        return ""
+    return _ESCAPED_CHAR.sub(_unescape_char, name) if "_x" in name else name
+
+
+def _unescape_char(match: re.Match) -> str:
+    code = int(match[1], 16)
+    return chr(code) if code <= 0x10FFFF else match[0]
 
 
 def _set_type(node: XmlElement, xsd_type: str) -> None:
@@ -84,7 +124,7 @@ def _encode_into(node: XmlElement, value: Any) -> None:
                 raise SoapEncodingError(
                     f"struct keys must be strings, got {type(key).__name__}"
                 )
-            node.append(encode_value(key, item))
+            node.append(encode_value(_key_to_name(key), item))
     else:
         raise SoapEncodingError(
             f"cannot SOAP-encode value of type {type(value).__name__}"
@@ -105,7 +145,7 @@ def decode_value(node: XmlElement) -> Any:
     if local == "Array" or _ARRAY_TYPE_ATTR in node.attributes:
         return [decode_value(item) for item in node.children]
     if local == "Struct":
-        return {child.tag.local: decode_value(child) for child in node.children}
+        return _decode_struct(node)
     if local in ("boolean",):
         return node.text.strip() in ("true", "1")
     if local in ("int", "integer", "long", "short"):
@@ -118,5 +158,12 @@ def decode_value(node: XmlElement) -> Any:
         return node.text
     # untyped: infer structs from element children, else treat as string
     if node.children:
-        return {child.tag.local: decode_value(child) for child in node.children}
+        return _decode_struct(node)
     return node.text
+
+
+def _decode_struct(node: XmlElement) -> dict[str, Any]:
+    return {
+        _name_to_key(child.tag.local): decode_value(child)
+        for child in node.children
+    }

@@ -8,6 +8,7 @@ more: elements, attributes, character data, namespaces, comments-skipped.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Union
 
 from repro.xmlutil.qname import QName
@@ -15,6 +16,14 @@ from repro.xmlutil.qname import QName
 _ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
 _ESCAPES_ATTR = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
 _NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+#: a character reference body: ASCII decimal digits, or x/X and hex digits
+#: (leading zeros allowed, at most enough digits to name U+10FFFF)
+_CHAR_REF = re.compile(r"#(?:0*([0-9]{1,7})|[xX]0*([0-9a-fA-F]{1,6}))")
+
+#: the deepest element nesting the parser accepts; it recurses two stack
+#: frames per level, so an unbounded document could exhaust the stack
+MAX_DEPTH = 256
 
 
 class XmlParseError(ValueError):
@@ -262,6 +271,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.n = len(text)
+        self.depth = 0  # elements open around the current position
 
     def fail(self, message: str) -> XmlParseError:
         return XmlParseError(message, self.pos)
@@ -333,6 +343,8 @@ class _Parser:
 
     def _parse_element(self, parent_nsmap: dict[str, str]) -> XmlElement:
         assert self.text[self.pos] == "<"
+        if self.depth == MAX_DEPTH:
+            raise self.fail(f"elements nested deeper than {MAX_DEPTH} levels")
         self.pos += 1
         name = self._parse_name()
         raw_attrs: list[tuple[str, str]] = []
@@ -375,7 +387,9 @@ class _Parser:
             self.pos += 2
             return element
         self.pos += 1  # consume '>'
+        self.depth += 1
         self._parse_content(element, nsmap, name)
+        self.depth -= 1
         return element
 
     def _parse_content(
@@ -451,16 +465,31 @@ def _decode_entities(text: str, parser: _Parser) -> str:
         if end < 0:
             raise parser.fail("unterminated entity reference")
         entity = text[i + 1:end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            out.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            out.append(chr(int(entity[1:])))
+        if entity.startswith("#"):
+            out.append(_char_ref(entity, parser))
         elif entity in _NAMED_ENTITIES:
             out.append(_NAMED_ENTITIES[entity])
         else:
             raise parser.fail(f"unknown entity &{entity};")
         i = end + 1
     return "".join(out)
+
+
+def _char_ref(entity: str, parser: _Parser) -> str:
+    """The character ``&{entity};`` names, if it is one XML allows."""
+    match = _CHAR_REF.fullmatch(entity)
+    if match is None:
+        raise parser.fail(f"malformed character reference &{entity};")
+    decimal, hexadecimal = match.groups()
+    code = int(decimal) if decimal is not None else int(hexadecimal, 16)
+    if not (
+        0x20 <= code <= 0xD7FF
+        or code in (0x9, 0xA, 0xD)
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    ):
+        raise parser.fail(f"&{entity}; names no XML character")
+    return chr(code)
 
 
 def parse_xml(text: str) -> XmlElement:

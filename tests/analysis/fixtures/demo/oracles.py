@@ -24,6 +24,6 @@ class WallClockOracle(Oracle):  # expected: REP601 (also unregistered)
     name = "wall-clock"
 
     def check(self, world):
-        deadline = time.time() + 5  # expected: REP602 (wall clock)
-        jitter = random.random()  # expected: REP602 (unseeded randomness)
+        deadline = time.time() + 5  # expected: REP101 (wall clock)
+        jitter = random.random()  # expected: REP103 (unseeded randomness)
         return [] if world.clock.now() < deadline + jitter else ["late"]

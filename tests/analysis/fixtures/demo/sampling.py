@@ -16,8 +16,8 @@ class CoinFlipPolicy(SamplingPolicy):
     name = "coin-flip"
 
     def decide(self, trace):
-        # expected: REP701 (and REP103 from the determinism checker —
-        # the same line breaks both the policy contract and the global rule)
+        # expected: REP103 (an unseeded draw in a retention decision: the
+        # kept-trace set would differ between same-seed runs)
         return self.name if random.random() < 0.5 else None
 
 

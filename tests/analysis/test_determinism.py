@@ -58,6 +58,35 @@ def test_seeded_random_is_clean(analyze):
     assert codes(result) == []
 
 
+def test_argless_random_instance_drawn_inline(analyze):
+    # the unseeded constructor is flagged; the draw chained onto it is
+    # not a second finding
+    result = run(analyze, """\
+        import random
+
+
+        class LazyPolicy:
+            def decide(self, trace):
+                return "lazy" if random.Random().random() < 0.5 else None
+    """)
+    assert codes(result) == ["REP103"]
+
+
+def test_seeded_generator_held_on_an_attribute_is_clean(analyze):
+    result = run(analyze, """\
+        import random
+
+
+        class SeededPolicy:
+            def __init__(self, seed):
+                self.rng = random.Random(seed)
+
+            def decide(self, trace):
+                return "seeded" if self.rng.random() < 0.5 else None
+    """)
+    assert codes(result) == []
+
+
 def test_registry_view_iteration_flagged_sorted_clean(analyze):
     result = run(analyze, """\
         def bad(self):

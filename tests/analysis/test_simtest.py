@@ -1,4 +1,4 @@
-"""SimtestOracleChecker: REP601-REP602."""
+"""SimtestOracleChecker: REP601."""
 
 from repro.analysis.checkers.simtest import SimtestOracleChecker
 
@@ -77,84 +77,6 @@ def test_abstract_stem_with_registered_leaves_is_not_flagged(analyze):
     class SeqOracle(StoreOracle):
         def check(self, world):
             return [self.store(world).seq]
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == []
-
-
-def test_wall_clock_inside_an_oracle(analyze):
-    result = analyze({
-        "mod.py": ORACLE_BASE + """\
-
-    import time
-
-
-    def register_oracle(cls):
-        return cls
-
-
-    @register_oracle
-    class LateOracle(Oracle):
-        def check(self, world):
-            return [] if time.time() < 5 else ["late"]
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == ["REP602"]
-
-
-def test_unseeded_randomness_inside_an_oracle(analyze):
-    result = analyze({
-        "mod.py": ORACLE_BASE + """\
-
-    import random
-
-
-    def register_oracle(cls):
-        return cls
-
-
-    @register_oracle
-    class DiceOracle(Oracle):
-        def check(self, world):
-            if random.random() < 0.5:
-                rng = random.Random()
-                return [rng.choice(["a", "b"])]
-            return []
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == ["REP602", "REP602"]
-
-
-def test_seeded_random_inside_an_oracle_is_clean(analyze):
-    result = analyze({
-        "mod.py": ORACLE_BASE + """\
-
-    import random
-
-
-    def register_oracle(cls):
-        return cls
-
-
-    @register_oracle
-    class SampledOracle(Oracle):
-        def check(self, world):
-            rng = random.Random(world.seed)
-            return [rng.random()]
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == []
-
-
-def test_wall_clock_outside_oracles_is_someone_elses_rule(analyze):
-    # REP101 owns the general case; REP602 only speaks about oracles
-    result = analyze({
-        "mod.py": """\
-            import time
-
-
-            def helper():
-                return time.time()
         """
     }, checkers=CHECKER)
     assert codes(result) == []

@@ -1,100 +1,10 @@
-"""SloSamplingChecker: REP701-REP702."""
+"""SloSamplingChecker: REP702."""
 
 from repro.analysis.checkers.slo import SloSamplingChecker
 
 from tests.analysis.conftest import codes
 
 CHECKER = [SloSamplingChecker()]
-
-POLICY_BASE = """\
-    class SamplingPolicy:
-        name = ""
-
-        def decide(self, trace):
-            raise NotImplementedError
-"""
-
-
-def test_unseeded_random_in_retention_decision(analyze):
-    result = analyze({
-        "mod.py": POLICY_BASE + """\
-
-    import random
-
-
-    class CoinPolicy(SamplingPolicy):
-        def decide(self, trace):
-            return "coin" if random.random() < 0.5 else None
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == ["REP701"]
-
-
-def test_argless_random_instance_in_policy(analyze):
-    result = analyze({
-        "mod.py": POLICY_BASE + """\
-
-    import random
-
-
-    class LazyPolicy(SamplingPolicy):
-        def decide(self, trace):
-            return "lazy" if random.Random().random() < 0.5 else None
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == ["REP701"]
-
-
-def test_seeded_generator_in_policy_is_clean(analyze):
-    result = analyze({
-        "mod.py": POLICY_BASE + """\
-
-    import random
-
-
-    class SeededPolicy(SamplingPolicy):
-        def __init__(self, seed):
-            self.rng = random.Random(seed)
-
-        def decide(self, trace):
-            return "seeded" if self.rng.random() < 0.5 else None
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == []
-
-
-def test_unseeded_random_outside_a_policy_is_not_rep701(analyze):
-    # that's the determinism checker's REP103; REP701 stays scoped to
-    # the retention-policy hierarchy
-    result = analyze({
-        "mod.py": """\
-    import random
-
-
-    def jitter():
-        return random.random()
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == []
-
-
-def test_transitive_policy_subclass_is_checked(analyze):
-    result = analyze({
-        "mod.py": POLICY_BASE + """\
-
-    import random
-
-
-    class RatePolicy(SamplingPolicy):
-        rate = 0.5
-
-
-    class DriftingPolicy(RatePolicy):
-        def decide(self, trace):
-            return "drift" if random.random() < self.rate else None
-        """
-    }, checkers=CHECKER)
-    assert codes(result) == ["REP701"]
 
 
 def test_slo_missing_window_and_budget(analyze):

@@ -129,7 +129,8 @@ class TestTailSampler:
         assert sampler.buffered_traces == 2
 
     def test_flush_decides_everything_still_buffered(self):
-        sampler, _ = _sampler(rate=0.0)
+        # no collector: the hand-built orphan span is not a trace to export
+        sampler = TailSampler(seed=42, rate=0.0)
         sampler.offer(Span("9" * 32, "s", "gone", "op", "server", "S", "h",
                            0.0, 1.0, "Portal.Invalid"))
         assert sampler.buffered_traces == 1

@@ -148,11 +148,12 @@ class TestBurnRateAlerting:
 
 
 class TestExemplars:
-    def _span(self, trace_id, *, error="", duration=0.001):
+    def _span(self, trace_id, *, error="", duration=0.001, start=0.0):
         return {
             "trace_id": trace_id, "span_id": f"s{trace_id[:8]}",
             "parent_id": "", "name": "submit", "kind": "server",
-            "service": "Job", "host": "h", "start": 0.0, "end": duration,
+            "service": "Job", "host": "h", "start": start,
+            "end": start + duration,
             "error": error, "attributes": {}, "events": [],
         }
 
@@ -174,7 +175,8 @@ class TestExemplars:
         clock, metrics, engine = _engine(collector=collector)
         engine.define(LAT)
         collector.export(self._span("c" * 32, duration=9.0))
-        collector.export(self._span("d" * 32, duration=0.001))
+        # starts when the slow span ends: host h's clock never runs back
+        collector.export(self._span("d" * 32, duration=0.001, start=9.0))
         assert engine.exemplars_for("submit-latency") == ["c" * 32]
 
     def test_exemplars_are_bounded_and_newest_first(self):

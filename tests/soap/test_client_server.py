@@ -6,7 +6,7 @@ from repro.faults import (
     ResourceNotFoundError,
 )
 from repro.soap.client import SoapClient
-from repro.soap.message import SoapEnvelope, SoapFaultError
+from repro.soap.message import SoapEnvelope, SoapFault, SoapFaultError
 from repro.soap.server import SoapService
 from repro.transport.server import HttpServer
 from repro.xmlutil.element import XmlElement
@@ -116,6 +116,26 @@ def test_malformed_request_returns_client_fault(network, service):
     response = HttpClient(network, "c").post(url, "this is not xml")
     assert response.status == 500
     assert "malformed SOAP request" in response.body
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "<x>" * 600 + "</x>" * 600,
+        "<x>&#99999999999999999999;</x>",
+    ],
+    ids=["600-deep", "huge-char-ref"],
+)
+def test_hostile_xml_gets_a_client_fault_envelope(network, service, body):
+    _svc, url = service
+    from repro.transport.client import HttpClient
+
+    response = HttpClient(network, "c").post(url, body)
+    assert response.status == 500
+    assert response.headers["Content-Type"] == "text/xml"
+    fault = SoapFault.from_xml(SoapEnvelope.parse(response.body).body)
+    assert fault.faultcode == "Client"
+    assert fault.faultstring.startswith("malformed SOAP request")
 
 
 def test_get_rejected(network, service):

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,3 +91,35 @@ soap_values = st.recursive(
 def test_encode_decode_property(value):
     text = encode_value("p", value).serialize()
     assert decode_value(parse_xml(text)) == value
+
+
+struct_with_any_keys = st.dictionaries(
+    st.text(max_size=8),
+    st.integers() | st.dictionaries(st.text(max_size=4), st.integers(),
+                                    max_size=3),
+    max_size=6,
+)
+
+
+@given(struct_with_any_keys)
+@settings(max_examples=200, deadline=None)
+def test_every_struct_key_crosses_the_wire(value):
+    text = encode_value("p", value).serialize()
+    ElementTree.fromstring(text)  # a conformant parser accepts the names
+    assert decode_value(parse_xml(text)) == value
+
+
+def test_struct_key_wire_names():
+    names = {
+        key: encode_value("p", {key: 1}).children[0].tag.local
+        for key in ("free_cpus", "a.b-c", "a b", "", "0", "_x41", "é")
+    }
+    assert names == {
+        "free_cpus": "free_cpus",
+        "a.b-c": "a.b-c",
+        "a b": "a_x0020_b",
+        "": "_x_",
+        "0": "_x0030_",
+        "_x41": "_x005F_x41",
+        "é": "_x00E9_",
+    }

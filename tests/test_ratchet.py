@@ -1,0 +1,123 @@
+"""``benchmarks/ratchet.py``: one CI ratchet for the committed baselines.
+
+The ``"benchmark"`` field picks the comparison.  Each case pins the
+verdict, the message and the exit code on either side of a tolerance.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from benchmarks.ratchet import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _o1(traced: float, sampled: float) -> dict:
+    """A tracing-overhead report whose untraced call costs 100 us."""
+    return {
+        "benchmark": "o1_tracing_overhead",
+        "untraced": {"us_per_call": 100.0},
+        "overhead_us_per_call": traced,
+        "sampled_overhead_us_per_call": sampled,
+    }
+
+
+def _a1(speedup: float, floor: float = 3.0) -> dict:
+    return {
+        "benchmark": "a1_analysis_speed",
+        "warm_speedup": speedup,
+        "min_warm_speedup": floor,
+    }
+
+
+@pytest.fixture
+def ratchet(tmp_path, capsys):
+    """ratchet(baseline, current) -> (exit code, stdout, stderr)."""
+
+    def run(baseline: dict, current: dict):
+        paths = []
+        for name, report in (("base.json", baseline), ("cur.json", current)):
+            path = tmp_path / name
+            path.write_text(json.dumps(report), encoding="utf-8")
+            paths.append(str(path))
+        code = main(["ratchet.py", *paths])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "committed", ["BENCH_observability.json", "BENCH_analysis.json"]
+)
+def test_committed_baseline_holds_against_itself(committed, ratchet):
+    report = json.loads((REPO_ROOT / committed).read_text(encoding="utf-8"))
+    code, out, err = ratchet(report, report)
+    assert (code, err) == (0, "")
+    assert out.startswith("ratchet holds: ")
+
+
+def test_tracing_overhead_just_inside_tolerance(ratchet):
+    assert ratchet(_o1(10.0, 20.0), _o1(11.4, 22.8)) == (
+        0,
+        "ratchet holds: traced 0.114x, sampled 0.228x of an untraced call "
+        "(tolerance 1.15x vs baseline)\n",
+        "",
+    )
+
+
+def test_tracing_overhead_just_outside_tolerance(ratchet):
+    assert ratchet(_o1(10.0, 20.0), _o1(11.6, 23.2)) == (
+        1,
+        "",
+        "RATCHET FAIL: sampled tracing overhead regressed: 0.232x of an "
+        "untraced call vs 0.200x at baseline (tolerance 1.15x)\n"
+        "RATCHET FAIL: traced tracing overhead regressed: 0.116x of an "
+        "untraced call vs 0.100x at baseline (tolerance 1.15x)\n",
+    )
+
+
+def test_zero_overhead_baseline_is_not_ratcheted(ratchet):
+    code, _out, err = ratchet(_o1(0.0, 20.0), _o1(50.0, 20.0))
+    assert (code, err) == (0, "")
+
+
+def test_analysis_speedup_just_inside_tolerance(ratchet):
+    assert ratchet(_a1(4.0), _a1(3.25)) == (
+        0,
+        "ratchet holds: warm cache 3.25x faster than cold (baseline 4.00x, "
+        "tolerance 1.25x)\n",
+        "",
+    )
+
+
+def test_analysis_speedup_just_outside_tolerance(ratchet):
+    assert ratchet(_a1(4.0), _a1(3.15)) == (
+        1,
+        "",
+        "RATCHET FAIL: warm-cache speedup regressed: 3.15x vs 4.00x at "
+        "baseline (tolerance: within 1.25x of baseline)\n",
+    )
+
+
+def test_analysis_speedup_floor(ratchet):
+    assert ratchet(_a1(3.5), _a1(3.0))[0] == 0  # on the floor holds
+    assert ratchet(_a1(3.5), _a1(2.95)) == (
+        1,
+        "",
+        "RATCHET FAIL: warm-cache speedup 2.95x is below the hard floor "
+        "3x — the fast path is no longer skipping the checkers\n",
+    )
+
+
+def test_unknown_or_mismatched_benchmark_is_a_usage_error(ratchet):
+    assert ratchet(_a1(4.0), _o1(1.0, 1.0))[0] == 2
+    unknown = {"benchmark": "w1_workflow"}
+    assert ratchet(unknown, unknown)[0] == 2
+
+
+def test_wrong_argument_count_prints_usage(capsys):
+    assert main(["ratchet.py", "only-one.json"]) == 2
+    assert "Usage::" in capsys.readouterr().err

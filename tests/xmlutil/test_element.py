@@ -56,8 +56,11 @@ def test_parse_namespaces_and_default_ns():
 
 
 def test_parse_cdata_and_entities():
-    doc = parse_xml("<t><![CDATA[<raw> & stuff]]> &amp;&#65;&#x42;</t>")
-    assert doc.text == "<raw> & stuff &AB"
+    doc = parse_xml(
+        "<t><![CDATA[<raw> & stuff]]> &amp;&#65;&#x42;"
+        "&#0067;&#X0044;&#x1F600;&#9;&#xD;</t>"
+    )
+    assert doc.text == "<raw> & stuff &ABCD\U0001F600\t\r"
 
 
 def test_parse_doctype_skipped():
@@ -77,11 +80,35 @@ def test_parse_doctype_skipped():
         "<a>&unknown;</a>",
         "no xml here",
         "<a ><b></a></b>",
+        # character references: only ASCII decimal or x-prefixed hex
+        # digits, naming a character XML allows
+        "<a>&#99999999999999999999;</a>",
+        "<a>&#xZZ;</a>",
+        "<a>&#;</a>",
+        "<a>&#-1;</a>",
+        "<a>&#6_5;</a>",
+        "<a>&#xD800;</a>",
+        "<a>&#x110000;</a>",
+        "<a>&#1;</a>",
+        '<a v="&#xD800;"/>',
+        # nesting beyond the parser's depth limit
+        pytest.param("<a>" * 257 + "</a>" * 257, id="257-deep"),
+        pytest.param("<a>" * 256 + "<b/>" + "</a>" * 256, id="257-deep-empty"),
+        pytest.param("<a>" * 600 + "</a>" * 600, id="600-deep"),
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(XmlParseError):
         parse_xml(bad)
+
+
+def test_parse_accepts_the_deepest_allowed_nesting():
+    doc = parse_xml("<a>" * 255 + "<b/>" + "</a>" * 255)
+    depth = 1
+    while doc.children:
+        doc = doc.children[0]
+        depth += 1
+    assert (depth, doc.tag.local) == (256, "b")
 
 
 def test_equality_ignores_whitespace_nodes():
