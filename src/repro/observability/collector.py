@@ -50,7 +50,10 @@ class TraceCollector:
 
     def __init__(self, capacity: int = 0):
         self.capacity = int(capacity)
-        self._spans: list[dict[str, Any]] = []
+        #: span dicts, or finished :class:`~repro.observability.tracer.Span`
+        #: objects not yet read (entries from ``_dicts_upto`` on)
+        self._spans: list[Any] = []
+        self._dicts_upto = 0
         self.trace_evictions = 0
         self.spans_evicted = 0
         #: called with this collector after each eviction pass (the
@@ -58,10 +61,22 @@ class TraceCollector:
         self.on_evict = None
         _CREATED.append(self)
 
-    def export(self, span: dict[str, Any]) -> None:
+    def export(self, span: Any) -> None:
+        """Store one finished span: a span dict, or a finished ``Span``,
+        whose dict form is built when the store is first read — a fully
+        traced run exports every span, and most are never read."""
         self._spans.append(span)
         if self.capacity and len(self._spans) > self.capacity:
-            self._evict(span["trace_id"])
+            self._evict(self._dicts()[-1]["trace_id"])
+
+    def _dicts(self) -> list[dict[str, Any]]:
+        """The store, every entry in its dict form."""
+        spans = self._spans
+        for i in range(self._dicts_upto, len(spans)):
+            if spans[i].__class__ is not dict:
+                spans[i] = spans[i].to_dict()
+        self._dicts_upto = len(spans)
+        return spans
 
     def _evict(self, current_trace: str) -> None:
         evicted = False
@@ -73,6 +88,7 @@ class TraceCollector:
                 break
             before = len(self._spans)
             self._spans = [s for s in self._spans if s["trace_id"] != victim]
+            self._dicts_upto = len(self._spans)
             self.spans_evicted += before - len(self._spans)
             self.trace_evictions += 1
             evicted = True
@@ -85,13 +101,13 @@ class TraceCollector:
     def spans(self, trace_id: str = "") -> list[dict[str, Any]]:
         """All spans, or those of one trace, in finish order."""
         if not trace_id:
-            return list(self._spans)
-        return [s for s in self._spans if s["trace_id"] == trace_id]
+            return list(self._dicts())
+        return [s for s in self._dicts() if s["trace_id"] == trace_id]
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids in first-seen order."""
         seen: dict[str, None] = {}
-        for span in self._spans:
+        for span in self._dicts():
             seen.setdefault(span["trace_id"], None)
         return list(seen)
 
@@ -133,7 +149,7 @@ class TraceCollector:
     def to_json(self) -> str:
         """Deterministic JSON-lines export: one span per line, sorted keys."""
         return "\n".join(
-            json.dumps(span, sort_keys=True) for span in self._spans
+            json.dumps(span, sort_keys=True) for span in self._dicts()
         )
 
 

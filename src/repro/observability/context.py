@@ -18,6 +18,7 @@ run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 #: the HTTP header carrying the caller's trace context
@@ -43,9 +44,9 @@ class TraceContext:
         ignored: observability headers must never break a call.
         """
         parts = value.split("-")
-        if len(parts) != 4 or not parts[1] or not parts[2]:
-            return None
-        return TraceContext(parts[1], parts[2])
+        if len(parts) == 4 and parts[1] and parts[2]:
+            return TraceContext(parts[1], parts[2])
+        return None
 
 
 def traceparent(trace_id: str, span_id: str) -> str:
@@ -58,6 +59,16 @@ def traceparent(trace_id: str, span_id: str) -> str:
     return f"00-{trace_id}-{span_id}-01"
 
 
+#: splitmix64-style constants: the odd multiplier folding the allocation
+#: count (bijective modulo 2**64, so ids never collide), the per-chunk salts
+#: and the finalizer's multiplier
+_MIX = 0x9E3779B97F4A7C15
+_SALT_1 = 0x85EBCA77C2B2AE63
+_SALT_2 = 2 * 0x85EBCA77C2B2AE63
+_FINAL = 0x94D049BB133111EB
+_M64 = 0xFFFFFFFFFFFFFFFF
+
+
 class IdGenerator:
     """Deterministic trace/span id generation.
 
@@ -66,42 +77,36 @@ class IdGenerator:
     ids *look* opaque but depend only on (seed, allocation order).  Two runs
     with the same seed and the same call sequence mint identical ids — the
     property the chaos determinism tests assert.
+
+    A 64-bit chunk of an id is ``finalize(((count * MIX + salt) & M64) ^
+    seed_mix)``; a span id is chunk 1 of its count, a trace id chunks 1 and
+    2.  Span ids are minted as integers — ``allocate()`` takes the next
+    count — and hashed to hex by :meth:`span_hex` only when one is read:
+    a traced SOAP call reads one of its three span ids (for the
+    ``Traceparent`` header), and the tail sampler exports few spans.
     """
 
-    #: odd multiplicative constant: bijective modulo 2**64
-    _MIX = 0x9E3779B97F4A7C15
-    _M64 = 0xFFFFFFFFFFFFFFFF
-
     def __init__(self, seed: int = 0):
-        self.seed = seed & self._M64
+        self.seed = seed & _M64
         # the seed's contribution to every chunk is fixed — folded once
-        # here instead of once per minted id (four ids per traced call)
-        self._seed_mix = (self.seed * 0xC2B2AE3D27D4EB4F) & self._M64
-        self._count = 0
+        # here instead of once per minted id
+        self._seed_mix = (self.seed * 0xC2B2AE3D27D4EB4F) & _M64
+        #: the next allocation count: a span id, minted but not hashed
+        #: (a C-level counter — the tracer takes one per span)
+        self.allocate = itertools.count(1).__next__
 
-    def _chunk(self, salt: int) -> int:
-        # splitmix64-style finalizer over (count, seed, salt)
-        v = (self._count * self._MIX + salt * 0x85EBCA77C2B2AE63) & self._M64
-        v ^= self._seed_mix
-        v = ((v ^ (v >> 31)) * 0x94D049BB133111EB) & self._M64
-        return v ^ (v >> 29)
-
-    def _next(self, hex_width: int) -> str:
-        self._count += 1
-        value = 0
-        for salt in range((hex_width + 15) // 16):
-            value = (value << 64) | self._chunk(salt + 1)
-        mask = (1 << (4 * hex_width)) - 1
-        return f"{value & mask:0{hex_width}x}"
+    def span_hex(self, count: int) -> str:
+        """The 64-bit span id of allocation *count*: chunk 1, 16 hex digits."""
+        v = ((count * _MIX + _SALT_1) & _M64) ^ self._seed_mix
+        v = ((v ^ (v >> 31)) * _FINAL) & _M64
+        return "%016x" % (v ^ (v >> 29))
 
     def trace_id(self) -> str:
-        """A fresh 128-bit trace id (``_next(32)``, unrolled: every traced
-        call mints one, so the generic width loop is per-call cost)."""
-        self._count += 1
-        return f"{(self._chunk(1) << 64) | self._chunk(2):032x}"
-
-    def span_id(self) -> str:
-        """A fresh 64-bit span id (``_next(16)``, unrolled — three per
-        traced SOAP call)."""
-        self._count += 1
-        return f"{self._chunk(1):016x}"
+        """A fresh 128-bit trace id: chunks 1 and 2, 32 hex digits."""
+        mixed = self.allocate() * _MIX
+        seed_mix = self._seed_mix
+        high = ((mixed + _SALT_1) & _M64) ^ seed_mix
+        high = ((high ^ (high >> 31)) * _FINAL) & _M64
+        low = ((mixed + _SALT_2) & _M64) ^ seed_mix
+        low = ((low ^ (low >> 31)) * _FINAL) & _M64
+        return "%016x%016x" % (high ^ (high >> 29), low ^ (low >> 29))

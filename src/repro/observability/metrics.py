@@ -90,7 +90,7 @@ class QuantileSketch:
     tracking and the SLO window math both lean on.
     """
 
-    __slots__ = ("counts", "count")
+    __slots__ = ("counts", "count", "top")
 
     #: lower edge of bucket 0: 1µs — everything smaller lands in bucket 0
     MIN = 1e-6
@@ -102,33 +102,45 @@ class QuantileSketch:
     def __init__(self):
         self.counts: list[int] = [0] * (self.BUCKETS + 1)
         self.count = 0
-
-    def _index(self, value: float) -> int:
-        if value <= self.MIN:
-            return 0
-        idx = int(math.log2(value / self.MIN) * self.STEPS_PER_DOUBLING) + 1
-        return idx if idx <= self.BUCKETS else self.BUCKETS
+        #: the highest non-empty bucket (0 while empty): quantiles of the
+        #: slow tail are found walking down from here
+        self.top = 0
 
     def record(self, value: float) -> None:
         self.count += 1
-        self.counts[self._index(value)] += 1
+        if value <= self.MIN:
+            self.counts[0] += 1
+            return
+        idx = int(math.log2(value / self.MIN) * self.STEPS_PER_DOUBLING) + 1
+        if idx > self.BUCKETS:
+            idx = self.BUCKETS
+        self.counts[idx] += 1
+        if idx > self.top:
+            self.top = idx
 
     def merge(self, other: "QuantileSketch") -> None:
         for i, n in enumerate(other.counts):
             self.counts[i] += n
         self.count += other.count
+        self.top = max(self.top, other.top)
 
     def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the *q* quantile (0 < q <= 1)."""
+        """Upper-bound estimate of the *q* quantile (0 < q <= 1): the upper
+        edge of the lowest bucket at which the running count reaches
+        ``q * count``."""
         if not self.count:
             return 0.0
         rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank and n:
+        counts = self.counts
+        i = self.top
+        seen = self.count  # samples in buckets 0..i
+        # walk down while the buckets below i still hold the rank
+        while True:
+            below = seen - counts[i]
+            if below < rank or not below:
                 return self.MIN * 2 ** (i / self.STEPS_PER_DOUBLING)
-        return self.MIN * 2 ** (self.BUCKETS / self.STEPS_PER_DOUBLING)
+            seen = below
+            i -= 1
 
     def to_dict(self) -> dict[str, Any]:
         return {"count": self.count, "counts": list(self.counts)}
@@ -138,18 +150,20 @@ class QuantileSketch:
 class RedSeries:
     """One (service, method, side) row of RED state."""
 
-    requests: int = 0
     errors: int = 0
     latency: Histogram = field(default_factory=Histogram)
 
+    @property
+    def requests(self) -> int:
+        """Every request records one latency sample."""
+        return self.latency.count
+
     def record(self, duration: float, error: bool) -> None:
-        self.requests += 1
         if error:
             self.errors += 1
         self.latency.record(duration)
 
     def merge(self, other: "RedSeries") -> None:
-        self.requests += other.requests
         self.errors += other.errors
         self.latency.merge(other.latency)
 

@@ -30,11 +30,19 @@ that record a trace's spans also share the sampler that decides it.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Iterable
 
 from repro.observability.metrics import QuantileSketch
 from repro.observability.tracer import Span
 from repro.resilience import events as resilience_events
+
+_M64 = 0xFFFFFFFFFFFFFFFF
+
+#: C-level reads for the notable-span scan (any span failed or carries
+#: events): no Python frame per span
+_ERROR = attrgetter("error")
+_EVENTS = attrgetter("_events")
 
 
 def always_keep_events() -> frozenset[str]:
@@ -53,10 +61,15 @@ class TraceBuffer:
 
     __slots__ = ("trace_id", "spans", "root")
 
-    def __init__(self, trace_id: str):
+    def __init__(
+        self,
+        trace_id: str,
+        spans: list[Span] | None = None,
+        root: Span | None = None,
+    ):
         self.trace_id = trace_id
-        self.spans: list[Span] = []
-        self.root: Span | None = None
+        self.spans: list[Span] = [] if spans is None else spans
+        self.root = root
 
 
 class SamplingPolicy:
@@ -70,6 +83,11 @@ class SamplingPolicy:
 
     name = "policy"
 
+    #: True for a policy that can keep only a trace in which some span
+    #: failed or carries events; the sampler does not ask it about the rest
+    #: (most traces), which spares a call and a span scan per trace
+    notable_only = False
+
     def decide(self, trace: TraceBuffer) -> bool | None:
         raise NotImplementedError
 
@@ -79,6 +97,7 @@ class KeepErrorsPolicy(SamplingPolicy):
     away, so every alert exemplar and postmortem trace link resolves."""
 
     name = "errors"
+    notable_only = True
 
     def decide(self, trace: TraceBuffer) -> bool | None:
         for span in trace.spans:
@@ -96,15 +115,17 @@ class KeepEventsPolicy(SamplingPolicy):
     """
 
     name = "events"
+    notable_only = True
 
     def __init__(self, codes: frozenset[str] | None = None):
         self.codes = codes if codes is not None else always_keep_events()
 
     def decide(self, trace: TraceBuffer) -> bool | None:
         for span in trace.spans:
-            for event in span._events or ():
-                if event.name in self.codes:
-                    return True
+            if span._events:
+                for event in span._events:
+                    if event.name in self.codes:
+                        return True
         return None
 
 
@@ -130,30 +151,30 @@ class LatencyOutlierPolicy(SamplingPolicy):
     def __init__(self, quantile: float = 0.99, min_baseline: int = 32):
         self.quantile = quantile
         self.min_baseline = min_baseline
-        self.sketches: dict[tuple[str, str], QuantileSketch] = {}
-        self._thresholds: dict[tuple[str, str], tuple[int, float]] = {}
+        #: per (service, root operation): [sketch, count at the next
+        #: threshold refresh, cached threshold] — one lookup per trace
+        self._tails: dict[tuple[str, str], list] = {}
 
     def decide(self, trace: TraceBuffer) -> bool | None:
         root = trace.root
         if root is None:
             return None
         key = (root.service or root.host, root.name)
-        sketch = self.sketches.get(key)
-        if sketch is None:
-            sketch = self.sketches[key] = QuantileSketch()
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = [QuantileSketch(), self.min_baseline, 0.0]
+        sketch = tail[0]
         duration = root.end - root.start
-        keep = False
-        if sketch.count >= self.min_baseline:
-            cached = self._thresholds.get(key)
-            if cached is None or sketch.count >= cached[0]:
-                cached = (
-                    sketch.count + self.REFRESH_EVERY,
-                    sketch.quantile(self.quantile),
-                )
-                self._thresholds[key] = cached
-            keep = duration >= cached[1]
+        keep = None
+        count = sketch.count
+        if count >= self.min_baseline:
+            if count >= tail[1]:
+                tail[1] = count + self.REFRESH_EVERY
+                tail[2] = sketch.quantile(self.quantile)
+            if duration >= tail[2]:
+                keep = True
         sketch.record(duration)
-        return True if keep else None
+        return keep
 
 
 class ProbabilisticPolicy(SamplingPolicy):
@@ -167,29 +188,28 @@ class ProbabilisticPolicy(SamplingPolicy):
 
     name = "probabilistic"
 
-    _M64 = 0xFFFFFFFFFFFFFFFF
-
     def __init__(self, rate: float = 0.05, seed: int = 0):
         self.rate = rate
-        self.seed = seed & self._M64
+        self.seed = seed & _M64
 
     def _coin(self, trace_id: str) -> float:
         try:
-            key = int(trace_id[:16] or "0", 16)
+            key = int(trace_id[:16], 16)
         except ValueError:
             key = sum(ord(ch) for ch in trace_id)
-        v = (key ^ self.seed) & self._M64
-        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & self._M64
-        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & self._M64
+        v = (key ^ self.seed) & _M64
+        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _M64
         v ^= v >> 31
-        return (v >> 11) / float(1 << 53)
+        return (v >> 11) * 2.0**-53
 
     def decide(self, trace: TraceBuffer) -> bool | None:
-        if self.rate >= 1.0:
+        rate = self.rate
+        if rate >= 1.0:
             return True
-        if self.rate <= 0.0:
+        if rate <= 0.0:
             return None
-        return True if self._coin(trace.trace_id) < self.rate else None
+        return True if self._coin(trace.trace_id) < rate else None
 
 
 def default_policies(
@@ -213,10 +233,10 @@ class TailSampler:
 
     Sits between :class:`~repro.observability.tracer.Tracer` and
     :class:`~repro.observability.collector.TraceCollector`: finished spans
-    are *offered* here, and only kept traces are materialized (``to_dict``)
-    and exported — dropped traces never pay the dict cost at all.  Spans
-    of one trace export contiguously in finish order, so same-seed runs
-    stay byte-identical.
+    are *offered* here, and only kept traces are exported (the collector
+    builds their dict form when read) — dropped traces never pay the dict
+    cost at all.  Spans of one trace export contiguously in finish order,
+    so same-seed runs stay byte-identical.
     """
 
     mode = "tail"
@@ -241,9 +261,11 @@ class TailSampler:
                 min_outlier_baseline=min_outlier_baseline,
             )
         )
+        #: the chain for a trace with no failed span and no span events
+        self._quiet_policies = [p for p in self.policies if not p.notable_only]
         self.max_buffered_traces = max_buffered_traces
         #: the export target; bound by the runtime (anything with
-        #: ``export(span_dict)``)
+        #: ``export(span)``)
         self.collector = None
         self._buffers: dict[str, TraceBuffer] = {}
         self.kept_traces = 0
@@ -260,15 +282,24 @@ class TailSampler:
 
     def offer(self, span: Span) -> None:
         """Buffer one finished span; a completing root decides its trace."""
-        buf = self._buffers.get(span.trace_id)
+        if span._parent:  # not a root; read without resolving the id
+            buf = self._buffers.get(span.trace_id)
+            if buf is not None:
+                buf.spans.append(span)
+                return
+            if len(self._buffers) >= self.max_buffered_traces:
+                self._decide_oldest()
+            self._buffers[span.trace_id] = TraceBuffer(span.trace_id, [span])
+            return
+        # the root finishes last: its trace is complete
+        buf = self._buffers.pop(span.trace_id, None)
         if buf is None:
             if len(self._buffers) >= self.max_buffered_traces:
                 self._decide_oldest()
-            buf = self._buffers[span.trace_id] = TraceBuffer(span.trace_id)
-        buf.spans.append(span)
-        if not span.parent_id:
+            self._decide(TraceBuffer(span.trace_id, [span], span))
+        else:
+            buf.spans.append(span)
             buf.root = span
-            del self._buffers[span.trace_id]
             self._decide(buf)
 
     # -- decisions ------------------------------------------------------------------
@@ -284,12 +315,17 @@ class TailSampler:
         self._decide(buf)
 
     def _decide(self, buf: TraceBuffer) -> None:
-        for policy in self.policies:
+        spans = buf.spans
+        if any(map(_ERROR, spans)) or any(map(_EVENTS, spans)):
+            policies = self.policies
+        else:
+            policies = self._quiet_policies
+        for policy in policies:
             if policy.decide(buf):
                 self._keep(buf, policy.name)
                 return
         self.dropped_traces += 1
-        self.dropped_spans += len(buf.spans)
+        self.dropped_spans += len(spans)
 
     def _keep(self, buf: TraceBuffer, policy_name: str) -> None:
         self.kept_traces += 1
@@ -299,7 +335,7 @@ class TailSampler:
         )
         if self.collector is not None:
             for span in buf.spans:
-                self.collector.export(span.to_dict())
+                self.collector.export(span)
 
     def flush(self) -> None:
         """Decide every still-buffered trace (end of run / uninstall).

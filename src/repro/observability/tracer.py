@@ -29,6 +29,10 @@ SERVER = "server"
 INTERNAL = "internal"
 
 
+def _discard(span: "Span") -> None:
+    """The finish hook of a tracer with neither sampler nor collector."""
+
+
 @dataclass
 class SpanEvent:
     """A point-in-time annotation on a span."""
@@ -48,11 +52,18 @@ class Span:
     three of these, so construction cost is product cost.  The attribute
     and event stores are created lazily — most spans carry neither, and a
     dict plus a list per span is measurable at wire rates.
+
+    Ids are lazy too.  A span the :class:`Tracer` opens holds its id as an
+    allocation count, with the tracer's id generator beside it, and its
+    parent as the parent span or context itself; :attr:`span_id` and
+    :attr:`parent_id` hash and format them on first read (see
+    :class:`~repro.observability.context.IdGenerator`), which for most
+    spans of a tail-sampled run is never.
     """
 
     __slots__ = (
-        "trace_id", "span_id", "parent_id", "name", "kind", "service",
-        "host", "start", "end", "error", "_attributes", "_events",
+        "trace_id", "_span_id", "_parent", "name", "kind", "service",
+        "host", "start", "end", "error", "_attributes", "_events", "_ids",
     )
 
     def __init__(
@@ -71,8 +82,11 @@ class Span:
         events: list[SpanEvent] | None = None,
     ):
         self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        #: the span id, or its allocation count (then ``_ids`` is set)
+        self._span_id = span_id
+        #: the parent's id, or the parent span or context to read it from;
+        #: falsy ("") for a root
+        self._parent = parent_id
         self.name = name
         self.kind = kind
         self.service = service
@@ -82,6 +96,19 @@ class Span:
         self.error = error
         self._attributes = attributes
         self._events = events
+        self._ids = None
+
+    @property
+    def span_id(self) -> str:
+        span_id = self._span_id
+        if span_id.__class__ is int:  # an allocation count (see Tracer)
+            span_id = self._span_id = self._ids.span_hex(span_id)
+        return span_id
+
+    @property
+    def parent_id(self) -> str:
+        parent = self._parent
+        return parent if parent.__class__ is str else parent.span_id
 
     @property
     def attributes(self) -> dict[str, Any]:
@@ -124,14 +151,16 @@ class Span:
 class Tracer:
     """Mints spans on the sim clock and exports finished ones.
 
-    ``collector`` is anything with an ``export(span_dict)`` method — in
-    practice the :class:`repro.observability.collector.TraceCollector`.
+    ``collector`` is anything with an ``export(span)`` method — in
+    practice the :class:`repro.observability.collector.TraceCollector`,
+    which takes finished ``Span`` objects and builds their dict form when
+    read.
 
     With a ``sampler`` attached (:class:`repro.observability.sampling
     .TailSampler`), finished spans are *offered* instead of exported:
-    the sampler buffers the raw ``Span`` objects per trace and only
-    materializes the dict form for traces its policy chain keeps — the
-    deferred half of the cheap span hot path.
+    the sampler buffers the raw ``Span`` objects per trace and exports
+    only the traces its policy chain keeps — the deferred half of the
+    cheap span hot path.
     """
 
     def __init__(
@@ -143,9 +172,15 @@ class Tracer:
         self.sampler = sampler
         self._stack: list[Span] = []
         # bound fast paths: three spans per SOAP call makes even the
-        # attribute-chain lookups (`self.ids.span_id`) per-call cost
+        # attribute-chain lookups (`self.ids.allocate`) per-call cost
         self._trace_id = ids.trace_id
-        self._span_id = ids.span_id
+        self._allocate = ids.allocate
+        #: where a finished span goes: the sampler, else the collector
+        self._finish = (
+            sampler.offer if sampler is not None
+            else collector.export if collector is not None
+            else _discard
+        )
 
     # -- ambient span ---------------------------------------------------------------
 
@@ -166,38 +201,40 @@ class Tracer:
     ) -> Span:
         """Open a span.  Parentage: explicit *parent* context beats the
         ambient current span; with neither, a fresh trace begins."""
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif self._stack:
-            ambient = self._stack[-1]
-            trace_id, parent_id = ambient.trace_id, ambient.span_id
+        stack = self._stack
+        if parent is None:
+            if stack:
+                parent = stack[-1]
+                trace_id = parent.trace_id
+            else:
+                trace_id = self._trace_id()
+                parent = ""
         else:
-            trace_id, parent_id = self._trace_id(), ""
+            trace_id = parent.trace_id
+            if not parent.span_id:
+                parent = ""  # a context naming no parent span: a root
+        # the span id is an allocation count and the parent is itself: both
+        # are hashed and formatted only if read (see Span)
         span = Span(
-            trace_id,
-            self._span_id(),
-            parent_id,
-            name,
-            kind,
-            service,
-            host,
-            self.clock.now,
-            attributes=dict(attributes) if attributes else None,
+            trace_id, self._allocate(), parent, name, kind, service, host,
+            self.clock.now, 0.0, "", dict(attributes) if attributes else None,
         )
-        self._stack.append(span)
+        span._ids = self.ids
+        stack.append(span)
         return span
 
     def end(self, span: Span, *, error: str = "") -> Span:
         """Close a span and hand it off — to the tail sampler when one is
-        attached, else straight to the collector."""
-        self._pop(span)
+        attached, else straight to the collector, which materializes the
+        dict form when it is first read.  A finished span does not change
+        afterwards."""
+        stack = self._stack
+        # spans close innermost-first; a crash can leave descendants open
+        if stack and stack.pop() is not span:
+            self._pop(span)
         span.end = self.clock.now
         span.error = error
-        sampler = self.sampler
-        if sampler is not None:
-            sampler.offer(span)
-        elif self.collector is not None:
-            self.collector.export(span.to_dict())
+        self._finish(span)
         return span
 
     def abandon(self, span: Span) -> None:

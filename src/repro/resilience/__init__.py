@@ -10,7 +10,9 @@ common error vocabulary); this package makes it *useful* under failure:
   (closed/open/half-open) inside :class:`repro.transport.client.HttpClient`.
 - :mod:`repro.resilience.failover` — :class:`FailoverClient`, which resolves
   every provider of an interface from UDDI/WSIL/container discovery and
-  rotates across them on failure.
+  rotates across them on failure.  It is imported from its submodule: it
+  builds on the SOAP client, which itself imports this package's policy
+  module, so the package root stays free of it.
 - :mod:`repro.resilience.chaos` — a seeded, deterministic chaos harness
   driving fault schedules into the virtual network.
 - :mod:`repro.resilience.events` — every retry/trip/failover/shed recorded
@@ -29,7 +31,6 @@ from repro.resilience.chaos import (
     ChaosReport,
 )
 from repro.resilience.events import ResilienceLog
-from repro.resilience.failover import FailoverClient
 from repro.resilience.policy import (
     NO_RETRY,
     Deadline,
@@ -46,7 +47,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "Deadline",
-    "FailoverClient",
     "NO_RETRY",
     "ResilienceLog",
     "RetryPolicy",

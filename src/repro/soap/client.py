@@ -21,12 +21,23 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
+from repro.durability.idempotency import idempotency_header
 from repro.faults import DeadlineExceededError, PortalError, retry_after_hint
+from repro.loadmgmt.headers import principal_header
 from repro.observability.context import TRACEPARENT, traceparent
+from repro.resilience import events
+from repro.resilience.policy import (
+    NO_RETRY,
+    Deadline,
+    current_inbound_deadline,
+    is_retryable,
+)
+from repro.soap.encoding import decode_value
 from repro.soap.message import (
     SoapEnvelope,
     SoapFault,
     SoapFaultError,
+    SoapResponseError,
     request_envelope,
 )
 from repro.transport.client import HttpClient
@@ -86,13 +97,12 @@ class SoapClient:
         if principal:
             self.header_providers.append(self._principal_headers)
         self.last_response: SoapEnvelope | None = None
-        # per-call span furniture, built once: the wrapper span's name and
-        # attribute dict are identical for every call of a given method
-        self._span_names: dict[str, str] = {}
+        # per-method span furniture — {method: (call span name, RED
+        # series)} — rebuilt when the registry changes (the observability
+        # bundle was reinstalled)
+        self._traced_registry = None
+        self._traced_methods: dict[str, tuple[str, Any]] = {}
         self._endpoint_attrs = {"endpoint": self.endpoint}
-        # RED series cache, invalidated when the registry changes (the
-        # observability bundle was reinstalled): (registry, {method: series})
-        self._red_cache: tuple[Any, dict[str, Any]] | None = None
         self.calls_made = 0
         self.retries_performed = 0
         self.busy_backoffs = 0
@@ -113,15 +123,11 @@ class SoapClient:
 
     def _principal_headers(self, method: str, params: list[Any]) -> list[XmlElement]:
         """Stamp the request with this proxy's admission lane."""
-        from repro.loadmgmt.headers import principal_header
-
         return [principal_header(self.principal)]
 
     # -- resilience plumbing --------------------------------------------------
 
     def _record_breaker_transition(self, host: str, old: str, new: str) -> None:
-        from repro.resilience import events
-
         self.log.record(
             events.BREAKER,
             f"breaker for {host!r}: {old} -> {new}",
@@ -131,8 +137,6 @@ class SoapClient:
 
     @staticmethod
     def _error_code(exc: BaseException) -> str:
-        from repro.faults import PortalError
-
         return exc.code if isinstance(exc, PortalError) else type(exc).__name__
 
     # -- the call path --------------------------------------------------------
@@ -152,8 +156,6 @@ class SoapClient:
         if deadline is not None:
             headers.append(deadline.to_header())
         if idem_key:
-            from repro.durability.idempotency import idempotency_header
-
             headers.append(idempotency_header(idem_key))
         envelope = request_envelope(self.namespace, method, params, headers)
         http_headers = {
@@ -166,49 +168,45 @@ class SoapClient:
             self.endpoint, envelope.serialize(), http_headers
         )
         self.calls_made += 1
-        parsed = SoapEnvelope.parse(response.body)
-        self.last_response = parsed
-        if parsed.is_fault:
-            fault = SoapFault.from_xml(parsed.body)
-            portal_error = fault.to_portal_error()
-            if portal_error is not None:
-                raise portal_error
-            raise SoapFaultError(fault)
-        return_node = parsed.body.find("return")
-        if return_node is None:
-            return None
-        from repro.soap.encoding import decode_value
-
-        return decode_value(return_node)
+        # the fault boundary of the response: whatever arrives is a result,
+        # the provider's fault, or a classified SoapResponseError
+        try:
+            parsed = SoapEnvelope.parse(response.body)
+            self.last_response = parsed
+            if parsed.is_fault:
+                fault = SoapFault.from_xml(parsed.body)
+            else:
+                return_node = parsed.body.find("return")
+                return None if return_node is None else decode_value(return_node)
+        except Exception as exc:  # noqa: BLE001 - the wire boundary
+            raise SoapResponseError(
+                f"unreadable response from {self.endpoint} to {method!r}: "
+                f"{type(exc).__name__}: {exc}",
+                response.status,
+            ) from exc
+        portal_error = fault.to_portal_error()
+        if portal_error is not None:
+            raise portal_error
+        raise SoapFaultError(fault)
 
     def _attempt(
         self, method: str, params: list[Any], deadline, idem_key: str = "",
-        obs=None,
+        obs=None, series=None,
     ) -> Any:
-        """One attempt, wrapped in a client span + RED sample when the
-        observability layer is installed."""
+        """One attempt, wrapped in a client span + RED sample (on *series*)
+        when the observability layer is installed."""
         if obs is None:
             return self._call_once(method, params, deadline, idem_key)
-        cache = self._red_cache
-        if cache is None or cache[0] is not obs.metrics:
-            cache = self._red_cache = (obs.metrics, {})
-        series = cache[1].get(method)
-        if series is None:
-            series = cache[1][method] = obs.metrics.series(
-                self.service_name, method, "client"
-            )
         tracer = obs.tracer
-        clock = self.clock
-        started = clock.now
         span = tracer.start(method, "client", self.service_name, self.source)
         try:
             result = self._call_once(method, params, deadline, idem_key, span)
         except Exception as exc:
             tracer.end(span, error=self._error_code(exc))
-            series.record(clock.now - started, True)
+            series.record(span.end - span.start, True)
             raise
         tracer.end(span)
-        series.record(clock.now - started, False)
+        series.record(span.end - span.start, False)
         return result
 
     def call(
@@ -230,8 +228,6 @@ class SoapClient:
         work.  Essential for retried *submissions*: the request may have
         been accepted even though the response was lost.
         """
-        from repro.resilience.policy import Deadline, current_inbound_deadline
-
         # budget propagation: inside a deadline-carrying dispatch, a nested
         # call with no explicit timeout inherits the caller's remaining
         # budget, and an explicit timeout is clamped to it — the absolute
@@ -259,33 +255,39 @@ class SoapClient:
         # attempt below opens a child span whose context rides the
         # transport header.  Inlined start/end rather than the span()
         # context manager: the generator machinery is measurable per call.
-        name = self._span_names.get(method)
-        if name is None:
-            name = self._span_names[method] = f"call {method}"
-        span = obs.tracer.start(
-            name, "client", self.service_name, self.source,
+        if self._traced_registry is not obs.metrics:
+            self._traced_registry = obs.metrics
+            self._traced_methods = {}
+        furniture = self._traced_methods.get(method)
+        if furniture is None:
+            furniture = self._traced_methods[method] = (
+                f"call {method}",
+                obs.metrics.series(self.service_name, method, "client"),
+            )
+        tracer = obs.tracer
+        span = tracer.start(
+            furniture[0], "client", self.service_name, self.source,
             attributes=self._endpoint_attrs,
         )
         try:
             result = self._call_loop(
-                method, param_list, deadline, idempotency_key, obs
+                method, param_list, deadline, idempotency_key, obs,
+                furniture[1],
             )
         except PortalError as exc:
-            obs.tracer.end(span, error=exc.code)
+            tracer.end(span, error=exc.code)
             raise
         except Exception as exc:
-            obs.tracer.end(span, error=type(exc).__name__)
+            tracer.end(span, error=type(exc).__name__)
             raise
-        obs.tracer.end(span)
+        tracer.end(span)
         return result
 
     def _call_loop(
         self, method: str, param_list: list[Any], deadline,
-        idempotency_key: str, obs=None,
+        idempotency_key: str, obs=None, series=None,
     ) -> Any:
         """The retry loop around individual attempts."""
-        from repro.resilience.policy import NO_RETRY, is_retryable
-
         policy = self.retry_policy or NO_RETRY
         attempts = 0
         while True:
@@ -293,7 +295,7 @@ class SoapClient:
                 raise self._deadline_error(method, deadline)
             try:
                 return self._attempt(
-                    method, param_list, deadline, idempotency_key, obs
+                    method, param_list, deadline, idempotency_key, obs, series
                 )
             except Exception as exc:
                 attempts += 1
@@ -326,8 +328,6 @@ class SoapClient:
             {"method": method, "deadline": repr(deadline.at)},
         )
         if self.log is not None:
-            from repro.resilience import events
-
             self.log.record(
                 events.DEADLINE,
                 err.message,
@@ -348,8 +348,6 @@ class SoapClient:
     ) -> None:
         if self.log is None:
             return
-        from repro.resilience import events
-
         detail = {
             "endpoint": self.endpoint,
             "attempt": str(attempts),
@@ -371,8 +369,6 @@ class SoapClient:
     ) -> None:
         if self.log is None:
             return
-        from repro.resilience import events
-
         self.log.record(
             events.GIVE_UP,
             f"giving up on {method!r} after {attempts} attempts",

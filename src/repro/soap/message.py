@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.faults import PortalError
+from repro.soap.encoding import encode_value
 from repro.xmlutil.element import XmlElement, parse_xml
 from repro.xmlutil.qname import QName
 
@@ -153,6 +154,24 @@ class SoapFaultError(PortalError, RuntimeError):
         return self.fault.to_portal_error()
 
 
+class SoapResponseError(PortalError):
+    """Raised by :class:`repro.soap.client.SoapClient` on a response that is
+    not a readable SOAP message: a body that does not parse, an XML document
+    that is not an envelope, or a return value that does not decode.
+
+    Retryable exactly when the HTTP status was a 5xx: the server failed
+    while answering, and another attempt (or provider) may succeed; any
+    other status carried a malformed answer that will not change.
+    """
+
+    code = "Portal.BadResponse"
+    retryable = False  # each instance classifies itself by its HTTP status
+
+    def __init__(self, message: str, status: int):
+        super().__init__(message, {"status": str(status)})
+        self.retryable = 500 <= status <= 599
+
+
 def request_envelope(
     service_ns: str,
     method: str,
@@ -160,8 +179,6 @@ def request_envelope(
     headers: list[XmlElement] | None = None,
 ) -> SoapEnvelope:
     """Build an RPC-style request envelope for ``method(*params)``."""
-    from repro.soap.encoding import encode_value
-
     body = XmlElement(QName(service_ns, method))
     for index, value in enumerate(params):
         body.append(encode_value(f"param{index}", value))
@@ -170,8 +187,6 @@ def request_envelope(
 
 def response_envelope(service_ns: str, method: str, result: Any) -> SoapEnvelope:
     """Build an RPC-style response envelope carrying ``result``."""
-    from repro.soap.encoding import encode_value
-
     body = XmlElement(QName(service_ns, method + "Response"))
     body.append(encode_value("return", result))
     return SoapEnvelope(body)

@@ -17,8 +17,16 @@ from repro.durability.idempotency import (
     key_from_headers,
     set_current_key,
 )
-from repro.faults import InvalidRequestError, PortalError
+from repro.faults import DeadlineExceededError, InvalidRequestError, PortalError
+from repro.loadmgmt.headers import principal_from_headers
 from repro.observability.context import TRACEPARENT, TraceContext
+from repro.resilience import events as resilience_events
+from repro.resilience.policy import (
+    Deadline,
+    check_hop_budget,
+    pop_inbound_deadline,
+    push_inbound_deadline,
+)
 from repro.soap.encoding import decode_value
 from repro.soap.message import (
     SoapEnvelope,
@@ -79,9 +87,10 @@ class SoapService:
         self.admission = None
         #: resilience log receiving shed events; set alongside admission
         self.resilience_log = None
-        # RED series cache, invalidated when the registry changes (the
-        # observability bundle was reinstalled): (registry, {method: series})
-        self._red_cache: tuple[Any, dict[str, Any]] | None = None
+        # RED series per method, rebuilt when the registry changes (the
+        # observability bundle was reinstalled)
+        self._red_registry = None
+        self._red_series: dict[str, Any] = {}
 
     # -- registration ----------------------------------------------------------
 
@@ -171,56 +180,43 @@ class SoapService:
             getattr(self.network, "observability", None) if self.traced else None
         )
         if obs is None:
-            return self._dispatch(envelope)
+            return self._dispatch(envelope)[0]
         method_name = envelope.body.tag.local
-        cache = self._red_cache
-        if cache is None or cache[0] is not obs.metrics:
-            cache = self._red_cache = (obs.metrics, {})
-        series = cache[1].get(method_name)
+        if self._red_registry is not obs.metrics:
+            self._red_registry = obs.metrics
+            self._red_series = {}
+        series = self._red_series.get(method_name)
         if series is None:
-            series = cache[1][method_name] = obs.metrics.series(
+            series = self._red_series[method_name] = obs.metrics.series(
                 self.name, method_name, "server"
             )
         tracer = obs.tracer
-        clock = obs.clock
-        started = clock.now
-        replays_before = self.replays_served
         span = tracer.start(method_name, "server", self.name, self.host, parent)
         try:
-            response = self._dispatch(envelope)
+            response, error = self._dispatch(envelope, span)
         except ServiceCrash:
             tracer.end(span, error="ServiceCrash")
-            series.record(clock.now - started, True)
+            series.record(span.end - span.start, True)
             raise
-        error = ""
-        if response.is_fault:
-            fault = SoapFault.from_xml(response.body)
-            portal_error = fault.to_portal_error()
-            error = (
-                portal_error.code if portal_error is not None else fault.faultcode
-            )
-        if self.replays_served > replays_before:
-            span.attributes["replayed"] = True
         tracer.end(span, error=error)
-        series.record(clock.now - started, bool(error))
+        series.record(span.end - span.start, error != "")
         return response
 
-    def _dispatch(self, envelope: SoapEnvelope) -> SoapEnvelope:
-        """The seed dispatch path (no instrumentation)."""
-        from repro.resilience.policy import (
-            Deadline,
-            check_hop_budget,
-            pop_inbound_deadline,
-            push_inbound_deadline,
-        )
-
+    def _dispatch(
+        self, envelope: SoapEnvelope, span=None
+    ) -> tuple[SoapEnvelope, str]:
+        """The seed dispatch path: the response, and the error code its
+        caller decodes from it ("" for a result).  *span*, when tracing, is
+        the server span, marked when the response is a replay."""
         method_name = envelope.body.tag.local
         idem_key = key_from_headers(envelope.headers) if envelope.headers else ""
         if self.replay_cache is not None and idem_key:
             cached = self.replay_cache.get(idem_key)
             if cached is not None:
                 self.replays_served += 1
-                return SoapEnvelope.parse(cached)
+                if span is not None:
+                    span.attributes["replayed"] = True
+                return SoapEnvelope.parse(cached), ""
         inbound = (
             Deadline.from_headers(envelope.headers) if envelope.headers else None
         )
@@ -259,13 +255,23 @@ class SoapService:
             finally:
                 if ticket is not None:
                     self.admission.release(ticket)
+            self.calls_served += 1
+            # still inside the fault boundary: a result that cannot be
+            # encoded is a fault, not an escape
+            response = response_envelope(self.namespace, method_name, result)
+            if self.replay_cache is not None and idem_key:
+                # the durable response record is part of the ack: if the
+                # disk cannot hold it, refuse (retryably) rather than hand
+                # out a keyed response a crash-restarted instance would not
+                # be able to replay
+                self.replay_cache.put(idem_key, response.serialize())
         except ServiceCrash:
             raise  # the process died: no fault, no response, nothing at all
         except PortalError as err:
             self.faults_returned += 1
-            return SoapEnvelope(
-                SoapFault.from_portal_error(err, actor=self.name).to_xml()
-            )
+            fault = SoapFault.from_portal_error(err, actor=self.name)
+            # the code the caller's SoapFault.to_portal_error reconstructs
+            return SoapEnvelope(fault.to_xml()), fault.to_portal_error().code
         except Exception as exc:  # noqa: BLE001 - service boundary
             self.faults_returned += 1
             fault = SoapFault(
@@ -273,22 +279,8 @@ class SoapService:
                 faultstring=f"unhandled {type(exc).__name__}: {exc}",
                 faultactor=self.name,
             )
-            return SoapEnvelope(fault.to_xml())
-        self.calls_served += 1
-        response = response_envelope(self.namespace, method_name, result)
-        if self.replay_cache is not None and idem_key:
-            try:
-                self.replay_cache.put(idem_key, response.serialize())
-            except PortalError as err:
-                # the durable response record is part of the ack: if the
-                # disk cannot hold it, refuse (retryably) rather than hand
-                # out a keyed response a crash-restarted instance would not
-                # be able to replay
-                self.faults_returned += 1
-                return SoapEnvelope(
-                    SoapFault.from_portal_error(err, actor=self.name).to_xml()
-                )
-        return response
+            return SoapEnvelope(fault.to_xml()), fault.faultcode
+        return response, ""
 
     def _admit(self, method_name: str, envelope: SoapEnvelope):
         """Run the admission controller, if one is attached.
@@ -300,8 +292,6 @@ class SoapService:
         """
         if self.admission is None:
             return None
-        from repro.loadmgmt.headers import principal_from_headers
-
         principal, priority = (
             principal_from_headers(envelope.headers)
             if envelope.headers
@@ -327,8 +317,6 @@ class SoapService:
         """
         if self.clock is None or deadline is None:
             return
-        from repro.faults import DeadlineExceededError
-
         queue_wait = ticket.queue_wait if ticket is not None else 0.0
         if deadline.expired(self.clock):
             detail = {
@@ -363,8 +351,6 @@ class SoapService:
         annotation and counter.  Without a log, the ambient bundle (if
         any) is annotated directly so sheds are never invisible.
         """
-        from repro.resilience import events as resilience_events
-
         if self.resilience_log is not None:
             self.resilience_log.record(
                 resilience_events.SHED,
@@ -391,26 +377,44 @@ class SoapService:
 
     def handle_http(self, request: HttpRequest) -> HttpResponse:
         """The HTTP face of the service (mounted on an
-        :class:`repro.transport.server.HttpServer`)."""
+        :class:`repro.transport.server.HttpServer`).
+
+        The fault boundary of the wire: a request that does not parse as a
+        SOAP envelope gets a ``Client`` fault, and any other failure a
+        ``Server`` fault — a SOAP envelope either way, never a text body.
+        Only a :class:`ServiceCrash` passes: the process died.
+        """
         if request.method != "POST":
             return HttpResponse(405, body="SOAP endpoint requires POST")
         try:
             envelope = SoapEnvelope.parse(request.body)
         except ValueError as exc:
-            fault = SoapFault("Client", f"malformed SOAP request: {exc}", self.name)
-            return HttpResponse(
-                500,
-                {"Content-Type": "text/xml"},
-                SoapEnvelope(fault.to_xml()).serialize(),
+            return self._fault_response(
+                SoapFault("Client", f"malformed SOAP request: {exc}", self.name)
             )
         raw_parent = request.headers.get(TRACEPARENT)
         parent = (
             TraceContext.from_traceparent(raw_parent) if raw_parent else None
         )
-        response = self.dispatch(envelope, parent=parent)
+        try:
+            response = self.dispatch(envelope, parent=parent)
+            body = response.serialize()
+        except ServiceCrash:
+            raise
+        except Exception as exc:  # noqa: BLE001 - the HTTP boundary
+            self.faults_returned += 1
+            return self._fault_response(SoapFault(
+                "Server", f"unhandled {type(exc).__name__}: {exc}", self.name
+            ))
         status = 500 if response.is_fault else 200
+        return HttpResponse(status, {"Content-Type": "text/xml"}, body)
+
+    @staticmethod
+    def _fault_response(fault: SoapFault) -> HttpResponse:
         return HttpResponse(
-            status, {"Content-Type": "text/xml"}, response.serialize()
+            500,
+            {"Content-Type": "text/xml"},
+            SoapEnvelope(fault.to_xml()).serialize(),
         )
 
     def mount(self, server: HttpServer, path: str = "/soap") -> str:

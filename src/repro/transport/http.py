@@ -116,6 +116,16 @@ def _unquote(text: str) -> str:
     return out.decode("utf-8", errors="replace")
 
 
+def _headers_bytes(headers: dict[str, str]) -> int:
+    """A ``Name: value`` line and its line break per header, summed without
+    a Python-level loop: every request and response on the wire is sized,
+    and a traced request carries one header more."""
+    return (
+        sum(map(len, headers)) + sum(map(len, headers.values()))
+        + 4 * len(headers)
+    )
+
+
 def _body_bytes(body: str) -> int:
     """Wire size of a body string.
 
@@ -142,8 +152,7 @@ class HttpRequest:
     def size(self) -> int:
         """Approximate bytes on the wire (request line + headers + body)."""
         head = len(self.method) + len(str(self.url)) + 12
-        head += sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + _body_bytes(self.body)
+        return head + _headers_bytes(self.headers) + _body_bytes(self.body)
 
     def form(self) -> dict[str, str]:
         """Decode a form-encoded POST body (or the query string for GET)."""
@@ -166,5 +175,4 @@ class HttpResponse:
 
     @property
     def size(self) -> int:
-        head = 17 + sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + _body_bytes(self.body)
+        return 17 + _headers_bytes(self.headers) + _body_bytes(self.body)

@@ -23,21 +23,23 @@ class TestTraceparent:
 class TestIdGenerator:
     def test_widths_and_alphabet(self):
         ids = IdGenerator(seed=1)
-        trace, span = ids.trace_id(), ids.span_id()
+        trace, span = ids.trace_id(), ids.span_hex(ids.allocate())
         assert len(trace) == 32 and len(span) == 16
         assert set(trace + span) <= set("0123456789abcdef")
 
     def test_same_seed_same_sequence(self):
         a, b = IdGenerator(seed=42), IdGenerator(seed=42)
         assert [a.trace_id() for _ in range(5)] == [b.trace_id() for _ in range(5)]
-        assert [a.span_id() for _ in range(5)] == [b.span_id() for _ in range(5)]
+        assert [a.span_hex(a.allocate()) for _ in range(5)] == [
+            b.span_hex(b.allocate()) for _ in range(5)
+        ]
 
     def test_different_seeds_differ(self):
         assert IdGenerator(seed=1).trace_id() != IdGenerator(seed=2).trace_id()
 
     def test_no_collisions_in_a_long_run(self):
         ids = IdGenerator(seed=0)
-        minted = [ids.span_id() for _ in range(500)]
+        minted = [ids.span_hex(ids.allocate()) for _ in range(500)]
         minted += [ids.trace_id() for _ in range(500)]
         assert len(set(minted)) == len(minted)
 

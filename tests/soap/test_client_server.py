@@ -3,11 +3,19 @@ import pytest
 from repro.faults import (
     AuthenticationError,
     InvalidRequestError,
+    PortalError,
     ResourceNotFoundError,
 )
 from repro.soap.client import SoapClient
-from repro.soap.message import SoapEnvelope, SoapFault, SoapFaultError
+from repro.soap.message import (
+    SoapEnvelope,
+    SoapFault,
+    SoapFaultError,
+    SoapResponseError,
+    request_envelope,
+)
 from repro.soap.server import SoapService
+from repro.transport.http import HttpRequest, parse_url
 from repro.transport.server import HttpServer
 from repro.xmlutil.element import XmlElement
 
@@ -136,6 +144,41 @@ def test_hostile_xml_gets_a_client_fault_envelope(network, service, body):
     fault = SoapFault.from_xml(SoapEnvelope.parse(response.body).body)
     assert fault.faultcode == "Client"
     assert fault.faultstring.startswith("malformed SOAP request")
+
+
+@pytest.mark.parametrize(
+    "result", [object(), {1: 2}], ids=["object", "non-string-key"]
+)
+def test_unencodable_result_is_a_fault_not_an_escape(network, result):
+    svc = SoapService("odd", "urn:odd")
+    svc.expose(lambda: result, name="give")
+    url = svc.mount(HttpServer("odd.example", network))
+    client = SoapClient(network, url, "urn:odd")
+    with pytest.raises(PortalError) as info:
+        client.call("give")
+    # a classified fault the provider sent, not an unreadable response
+    assert not isinstance(info.value, SoapResponseError)
+    assert svc.faults_returned == 1
+    assert client.last_response.is_fault
+
+
+def test_any_failure_in_dispatch_is_a_server_fault_envelope(service, monkeypatch):
+    svc, url = service
+
+    def broken(envelope, *, parent=None):
+        raise RuntimeError("dispatch machinery broke")
+
+    monkeypatch.setattr(svc, "dispatch", broken)
+    request = HttpRequest(
+        "POST", parse_url(url), {},
+        request_envelope("urn:calc", "add", [1, 2]).serialize(),
+    )
+    response = svc.handle_http(request)
+    assert response.status == 500
+    assert response.headers["Content-Type"] == "text/xml"
+    fault = SoapFault.from_xml(SoapEnvelope.parse(response.body).body)
+    assert fault.faultcode == "Server"
+    assert "RuntimeError: dispatch machinery broke" in fault.faultstring
 
 
 def test_get_rejected(network, service):
