@@ -13,11 +13,21 @@ is not enough, because a forged assertion could reuse a cached id with a
 different subject — and the cache supports targeted invalidation: when a
 user's ticket is revoked or their session ends, every cached verification
 for that principal dies with it.
+
+The cache is bounded.  An assertion minted per call is never looked up
+again, so :meth:`AssertionCache.get` alone would never evict it.
+:meth:`AssertionCache.put` sweeps out expired entries whenever the cache
+has doubled since its last sweep.  That costs O(1) amortized per put, and
+the cache holds fewer than twice the entries live at the last sweep, or
+PURGE_FLOOR when that is more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: the fewest entries a cache holds before put sweeps out expired ones
+PURGE_FLOOR = 64
 
 
 @dataclass
@@ -42,6 +52,8 @@ class AssertionCache:
         self.clock = clock
         self.ttl = ttl
         self._entries: dict[tuple[str, str], CachedVerification] = {}
+        #: the size at which the next put sweeps out expired entries
+        self._purge_at = PURGE_FLOOR
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -82,6 +94,9 @@ class AssertionCache:
             bound = min(bound, float(expires))
         entry = CachedVerification(principal, assertion_id, subject, bound)
         self._entries[(principal, assertion_id)] = entry
+        if len(self._entries) >= self._purge_at:
+            self.purge_expired()
+            self._purge_at = max(2 * len(self._entries), PURGE_FLOOR)
         return entry
 
     def invalidate(self, principal: str, assertion_id: str) -> bool:
@@ -104,8 +119,7 @@ class AssertionCache:
         """Evict every entry past its expiry; returns how many died."""
         now = self.clock.now
         doomed = [
-            key for key in sorted(self._entries)
-            if now >= self._entries[key].expires
+            key for key, entry in self._entries.items() if now >= entry.expires
         ]
         for key in doomed:
             del self._entries[key]

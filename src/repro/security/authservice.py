@@ -39,7 +39,7 @@ from repro.soap.message import SoapEnvelope
 from repro.soap.server import SoapService
 from repro.transport.network import VirtualNetwork
 from repro.transport.server import HttpServer
-from repro.xmlutil.element import XmlElement, parse_xml
+from repro.xmlutil.element import XmlElement
 
 AUTH_NAMESPACE = "urn:gce:authentication-service"
 SERVICE_PRINCIPAL = "authsvc"
@@ -79,8 +79,15 @@ class AuthenticationService:
         self._sessions[session_id] = context
         return {"session": session_id, "principal": context.initiator}
 
-    def verify(self, session_id: str, assertion_xml: str) -> dict[str, Any]:
-        """Verify a signed assertion on behalf of an SPP (the atomic step)."""
+    def verify(
+        self, session_id: str, assertion_xml: str | XmlElement
+    ) -> dict[str, Any]:
+        """Verify a signed assertion on behalf of an SPP (the atomic step).
+
+        *assertion_xml* is the ``Assertion`` element, which an SPP forwards
+        as an XML literal so that it arrives parsed with the request, or
+        its serialized text.
+        """
         self.verifications += 1
         context = self._sessions.get(session_id)
         if context is None:
@@ -269,14 +276,16 @@ class AssertionInterceptor:
         header = envelope.header("Assertion")
         if header is None:
             raise AuthenticationError("request carries no SAML assertion")
-        assertion_xml = header.serialize()
-        assertion = SamlAssertion.from_xml(parse_xml(assertion_xml))
+        assertion = SamlAssertion.from_xml(header)
         session_id = assertion.attributes.get("session", "")
         if self.cache is not None:
             cached = self.cache.get(assertion.subject, assertion.assertion_id)
             if cached is not None:
                 return
-        result = self._client.call("verify", session_id, assertion_xml)
+        # the header element itself travels on: the verify request carries
+        # it as an XML literal, so no hop serializes it into escaped text
+        # and parses it back
+        result = self._client.call("verify", session_id, header)
         self.verified_calls += 1
         if not result.get("valid"):
             raise AuthenticationError(

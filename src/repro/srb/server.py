@@ -181,14 +181,16 @@ class SrbServer:
             metadata=dict(metadata or {}),
         )
         self.mcat.put_object(path, obj)
-        self._journal(
-            "put",
-            path=path,
-            data=base64.b64encode(data).decode("ascii"),
-            resource=res_name,
-            metadata=dict(metadata or {}),
-            user=session.user,
-        )
+        # the record holds a base64 copy of the data: build it only to write it
+        if self._journaling:
+            self._journal(
+                "put",
+                path=path,
+                data=base64.b64encode(data).decode("ascii"),
+                resource=res_name,
+                metadata=dict(metadata or {}),
+                user=session.user,
+            )
         return obj
 
     def get(self, session: SrbSession, path: str) -> bytes:
@@ -265,8 +267,12 @@ class SrbServer:
 
     # -- durability (the Recoverable protocol) -------------------------------------
 
+    @property
+    def _journaling(self) -> bool:
+        return self.journal is not None and not self._replaying
+
     def _journal(self, kind: str, **data) -> None:
-        if self.journal is not None and not self._replaying:
+        if self._journaling:
             self.journal.append(kind, **data)
 
     def snapshot(self) -> dict:

@@ -131,12 +131,14 @@ def _body_bytes(body: str) -> int:
 
     Raw binary payloads travel as latin-1 strings (one char per byte); text
     payloads as UTF-8.  Counting latin-1 first keeps binary transfers from
-    being double-counted.
+    being double-counted.  A lone surrogate, which UTF-8 cannot carry,
+    counts as the 3 bytes ``surrogatepass`` gives it, so sizing never
+    fails: whether such a body is well-formed is the receiver's to decide.
     """
     try:
         return len(body.encode("latin-1"))
     except UnicodeEncodeError:
-        return len(body.encode("utf-8"))
+        return len(body.encode("utf-8", "surrogatepass"))
 
 
 @dataclass

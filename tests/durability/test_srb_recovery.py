@@ -86,3 +86,19 @@ def test_rmdir_force_replays_cleanly(network, ca):
     rebuilt.replay(Journal(network.disk(HOST), "srb"))
     assert rebuilt.snapshot() == server.snapshot()
     assert not rebuilt.mcat.exists("/home/alice/tree")
+
+
+def test_put_journals_the_data_it_stored(network, ca):
+    journal = Journal(network.disk(HOST), "srb", clock=network.clock)
+    server = _server(network, ca, journal=journal)
+    server.register_user(ALICE, "alice")
+    session = _session(ca, server)
+    server.put(session, "/home/alice/out.dat", b"\x00payload", metadata={"k": "v"})
+    (record,) = journal.by_kind("put")
+    assert record.data == {
+        "path": "/home/alice/out.dat",
+        "data": "AHBheWxvYWQ=",
+        "resource": "disk",
+        "metadata": {"k": "v"},
+        "user": "alice",
+    }

@@ -9,7 +9,7 @@ trips it saves — and the ones it must *not* save (revocation, expiry).
 import pytest
 
 from repro.faults import AuthenticationError
-from repro.security.assertioncache import AssertionCache
+from repro.security.assertioncache import PURGE_FLOOR, AssertionCache
 from repro.security.authservice import (
     AssertionInterceptor,
     ClientSecuritySession,
@@ -78,6 +78,18 @@ def test_purge_expired_sweeps_only_the_dead(network, cache):
     network.clock.advance(2.0)
     assert cache.purge_expired() == 1
     assert len(cache) == 1
+
+
+def test_puts_alone_keep_the_cache_bounded(network, cache):
+    # a per-call assertion is put once and never read again, so only put
+    # can evict it: over 10 TTLs the cache stays within twice its live set
+    put_at = []
+    for i in range(1000):
+        cache.put("alice", f"a{i}", "alice")
+        put_at.append(network.clock.now)
+        live = sum(1 for t in put_at if network.clock.now < t + cache.ttl)
+        assert len(cache) <= max(2 * live, PURGE_FLOOR)
+        network.clock.advance(1.0)
 
 
 # -- interceptor integration -------------------------------------------------

@@ -1,15 +1,22 @@
+import sys
+
 import pytest
 
 from repro.faults import AuthenticationError
 from repro.security.authservice import (
+    AUTH_NAMESPACE,
     AssertionInterceptor,
     ClientSecuritySession,
     deploy_auth_service,
 )
 from repro.security.kerberos import Kdc
 from repro.soap.client import SoapClient
+from repro.soap.encoding import decode_value
+from repro.soap.message import SoapEnvelope
 from repro.soap.server import SoapService
 from repro.transport.server import HttpServer
+from repro.xmlutil import element
+from repro.xmlutil.element import XmlElement
 
 
 @pytest.fixture
@@ -122,3 +129,114 @@ def test_active_sessions_counted(network, stack):
     assert auth.active_sessions() == before + 1
     session.logout()
     assert auth.active_sessions() == before
+
+
+# -- the signed call's parses and wire form ----------------------------------
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The text of every ``parse_xml`` call, wherever a module imported it."""
+    texts: list[str] = []
+    original = element.parse_xml
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            vars(module).get("parse_xml") is original
+        ):
+            monkeypatch.setattr(module, "parse_xml", counting)
+    return texts
+
+
+@pytest.fixture
+def sent(network, monkeypatch):
+    """Every request put on the wire."""
+    requests = []
+    send = network.send
+
+    def recording(request, **kwargs):
+        requests.append(request)
+        return send(request, **kwargs)
+
+    monkeypatch.setattr(network, "send", recording)
+    return requests
+
+
+def test_signed_call_parses_each_message_once(network, stack, parsed):
+    kdc, _auth, auth_url, url, _interceptor = stack
+    session = _login(network, kdc, auth_url)
+    client = session.secure(SoapClient(network, url, "urn:prot", source="ui.host"))
+    parsed.clear()
+    assert client.work("t") == "did t"
+    # the SPP's request, the verify request, the verify response and the
+    # SPP's response; the assertion is parsed only with its envelope
+    assert len(parsed) == 4
+
+
+def test_verify_request_carries_the_assertion_element(network, stack, sent):
+    kdc, _auth, auth_url, url, _interceptor = stack
+    session = _login(network, kdc, auth_url)
+    client = session.secure(SoapClient(network, url, "urn:prot", source="ui.host"))
+    sent.clear()
+    client.work("t")
+    verify = [r for r in sent if r.url.host == "auth.gridportal.org"]
+    assert len(verify) == 1
+    assert "&lt;" not in verify[0].body
+    call = SoapEnvelope.parse(verify[0].body).body
+    assert call.tag.local == "verify"
+    literal = decode_value(call.children[1])
+    assert isinstance(literal, XmlElement)
+    assert literal.tag.local == "Assertion"
+
+
+def _tamper_subject(assertion):
+    assertion.subject = "mallory"
+
+
+def _tamper_signature(assertion):
+    assertion.signature = bytes(b ^ 1 for b in assertion.signature)
+
+
+@pytest.mark.parametrize(
+    "tamper", [_tamper_subject, _tamper_signature], ids=["subject", "signature"]
+)
+def test_tampered_assertion_rejected_on_the_literal_path(network, stack, tamper):
+    kdc, auth, auth_url, url, interceptor = stack
+    session = _login(network, kdc, auth_url)
+    client = SoapClient(network, url, "urn:prot", source="ui.host")
+
+    def tampered(method, params):
+        assertion = session.make_assertion()
+        tamper(assertion)
+        return [assertion.to_xml()]
+
+    client.add_header_provider(tampered)
+    with pytest.raises(AuthenticationError, match="rejected"):
+        client.work("t")
+    assert auth.verifications == 1
+    assert interceptor.verified_calls == 1
+
+
+def test_verify_still_accepts_a_string(network, stack):
+    kdc, auth, auth_url, _url, _i = stack
+    session = _login(network, kdc, auth_url)
+    text = session.make_assertion().to_xml().serialize()
+    assert auth.verify(session.session_id, text)["valid"]
+    remote = SoapClient(network, auth_url, AUTH_NAMESPACE, source="spp.host")
+    result = remote.call("verify", session.session_id, text)
+    assert result["valid"] and result["subject"] == "alice"
+
+
+def test_literal_that_is_not_an_assertion_is_invalid(network, stack):
+    kdc, _auth, auth_url, _url, _i = stack
+    session = _login(network, kdc, auth_url)
+    remote = SoapClient(network, auth_url, AUTH_NAMESPACE, source="spp.host")
+    result = remote.call(
+        "verify", session.session_id, XmlElement("{urn:other}Ticket", text="x")
+    )
+    assert result["valid"] is False
+    assert "bad assertion" in result["reason"]

@@ -186,3 +186,22 @@ def test_get_rejected(network, service):
     from repro.transport.client import HttpClient
 
     assert HttpClient(network, "c").get(url).status == 405
+
+
+@pytest.mark.parametrize(
+    "method, args", [("echo", ["a\ud800b"]), ("give", [])],
+    ids=["in-request", "in-response"],
+)
+def test_lone_surrogate_is_a_result_or_a_portal_error(network, method, args):
+    # sizing a body must not fail in the transport: whether a lone
+    # surrogate is well-formed is the receiving parser's to decide
+    svc = SoapService("odd", "urn:odd")
+    svc.expose(lambda x: x, "echo")
+    svc.expose(lambda: "a\ud800b", "give")
+    url = svc.mount(HttpServer("odd.example", network))
+    client = SoapClient(network, url, "urn:odd")
+    try:
+        result = client.call(method, *args)
+    except PortalError:
+        return
+    assert result == "a\ud800b"

@@ -55,6 +55,17 @@ def test_put_get_rm(ca, srb):
     assert srb.resources["disk"].used_bytes == 0
 
 
+def test_unjournaled_put_builds_no_record(ca, srb, monkeypatch):
+    # the record's base64 copy of the data is built only when written
+    def no_record(data):
+        raise AssertionError("encoded a journal record with no journal")
+
+    monkeypatch.setattr("repro.srb.server.base64.b64encode", no_record)
+    session = _session(ca, srb)
+    srb.put(session, "/home/alice/f", b"content")
+    assert srb.get(session, "/home/alice/f") == b"content"
+
+
 def test_overwrite_replaces(ca, srb):
     session = _session(ca, srb)
     srb.put(session, "/home/alice/f", b"v1")

@@ -2,6 +2,7 @@ import pytest
 
 from repro.transport.http import (
     HttpRequest,
+    HttpResponse,
     Url,
     encode_query,
     parse_query,
@@ -56,3 +57,10 @@ def test_request_size_counts_body_bytes():
     small = HttpRequest("POST", Url("h", "/p"), body="x")
     big = HttpRequest("POST", Url("h", "/p"), body="x" * 1000)
     assert big.size - small.size == 999
+
+
+def test_lone_surrogate_counts_its_surrogatepass_bytes():
+    plain = HttpRequest("POST", Url("h", "/p"), body="ab")
+    odd = HttpRequest("POST", Url("h", "/p"), body="a\ud800b")
+    assert odd.size - plain.size == 3
+    assert HttpResponse(body="a\ud800b").size - HttpResponse(body="ab").size == 3
