@@ -6,8 +6,9 @@ same wizard-generated editor behind both mechanisms and compares the
 per-render wire cost and the interaction path.
 
 Measured shape (an honest surprise): WSRP is *not* byte-cheaper — the
-markup travels inside a SOAP string, so the envelope plus XML escaping of
-every ``<`` and ``"`` inflate it past the raw page the scraper fetches.
+markup travels inside a SOAP string (one CDATA section, its shorter wire
+form), and the envelope around it inflates it past the raw page the
+scraper fetches.
 What WSRP buys instead is structural: no client-side HTML parsing and URL
 rewriting (the producer renders against the consumer's base directly), and
 per-user portlet state lives on the producer.  Both support form
@@ -98,8 +99,8 @@ def a3(deployment):
         ["mechanism", "rx_bytes/render", "requests/render", "vtime_ms/render"],
         rows,
     )
-    # the SOAP tax: WSRP's escaped-markup-in-envelope costs MORE bytes than
-    # fetching the raw page, by roughly the XML-escaping amplification
+    # the SOAP tax: WSRP's markup-in-envelope costs MORE bytes than
+    # fetching the raw page
     wsrp_bytes = stats["WSRP (remote render)"][0]
     scrape_bytes = stats["WebFormPortlet (scrape+rewrite)"][0]
     assert scrape_bytes < wsrp_bytes < scrape_bytes * 2.5

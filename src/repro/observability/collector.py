@@ -1,12 +1,13 @@
 """Trace collection: in-memory store, SOAP face, and export.
 
-Finished spans are exported (as plain dicts) to a :class:`TraceCollector`.
-In a real deployment each host would batch spans to a collector service
-over the network; here every tracer shares one in-process collector, and
-the *service* face (:class:`TraceCollectorService`) exposes the same store
-over SOAP so portlets and remote tools read traces the same way they read
-job status — through a WSDL-described web service, per the paper's
-"everything is a service" architecture.
+Finished spans are exported to a :class:`TraceCollector`, which builds
+their dict form when a view first reads them.  In a real deployment each
+host would batch spans to a collector service over the network; here
+every tracer shares one in-process collector, and the *service* face
+(:class:`TraceCollectorService`) exposes the same store over SOAP so
+portlets and remote tools read traces the same way they read job status —
+through a WSDL-described web service, per the paper's "everything is a
+service" architecture.
 
 ``created_collectors()`` mirrors ``repro.durability.journal
 .created_journals()``: the CI trace job uses it to export every trace the
@@ -17,6 +18,7 @@ test suite produced for offline re-verification by
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any
 
 from repro.transport.network import VirtualNetwork
@@ -30,6 +32,11 @@ _CREATED: list["TraceCollector"] = []
 def created_collectors() -> list["TraceCollector"]:
     """All collectors constructed so far (test/CI export hook)."""
     return list(_CREATED)
+
+
+def _trace_id(span: Any) -> str:
+    """The trace of a stored entry: a span dict, or an unread ``Span``."""
+    return span["trace_id"] if span.__class__ is dict else span.trace_id
 
 
 class TraceCollector:
@@ -67,7 +74,7 @@ class TraceCollector:
         traced run exports every span, and most are never read."""
         self._spans.append(span)
         if self.capacity and len(self._spans) > self.capacity:
-            self._evict(self._dicts()[-1]["trace_id"])
+            self._evict(_trace_id(span))
 
     def _dicts(self) -> list[dict[str, Any]]:
         """The store, every entry in its dict form."""
@@ -79,20 +86,29 @@ class TraceCollector:
         return spans
 
     def _evict(self, current_trace: str) -> None:
-        evicted = False
-        while len(self._spans) > self.capacity:
-            victim = self._spans[0]["trace_id"]
-            if victim == current_trace:
+        """Drop the oldest whole traces until the store fits, in one
+        rebuild of the store, leaving unread spans unread."""
+        spans, upto = self._spans, self._dicts_upto
+        excess = len(spans) - self.capacity
+        victims: set[str] = set()
+        # traces in first-seen order, oldest first, with their span counts
+        for trace_id, count in Counter(map(_trace_id, spans)).items():
+            if excess <= 0 or trace_id == current_trace:
                 # never evict the trace still being exported — its later
                 # spans would arrive orphaned; tolerate transient overflow
                 break
-            before = len(self._spans)
-            self._spans = [s for s in self._spans if s["trace_id"] != victim]
-            self._dicts_upto = len(self._spans)
-            self.spans_evicted += before - len(self._spans)
-            self.trace_evictions += 1
-            evicted = True
-        if evicted and self.on_evict is not None:
+            victims.add(trace_id)
+            excess -= count
+            self.spans_evicted += count
+        if not victims:
+            return
+        dicts = [s for s in spans[:upto] if s["trace_id"] not in victims]
+        self._spans = dicts + [
+            s for s in spans[upto:] if _trace_id(s) not in victims
+        ]
+        self._dicts_upto = len(dicts)
+        self.trace_evictions += len(victims)
+        if self.on_evict is not None:
             self.on_evict(self)
 
     def __len__(self) -> int:

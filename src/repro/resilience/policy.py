@@ -16,6 +16,7 @@ module supplies the two time-domain primitives everything else builds on:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -76,14 +77,18 @@ class Deadline:
 
     @staticmethod
     def from_headers(headers: list[XmlElement]) -> "Deadline | None":
-        """Decode the deadline header if present (malformed values are
-        ignored — resilience headers must never break a call)."""
+        """Decode the deadline header if present (malformed values, NaN
+        among them, are ignored — resilience headers must never break a
+        call)."""
         for entry in headers:
             if entry.tag == DEADLINE_HEADER:
                 try:
-                    return Deadline(float(entry.text))
+                    at = float(entry.text)
                 except (TypeError, ValueError):
                     return None
+                # NaN compares false against every time: such a deadline
+                # would never expire and pass every hop-budget check
+                return None if math.isnan(at) else Deadline(at)
         return None
 
 

@@ -6,16 +6,30 @@ services exchange: simple types with ``xsi:type`` hints, arrays, structs,
 paper's job-submission and SRB services pass "an XML definition of a job ...
 as an XML string"; the XML-literal form carries it without double-escaping,
 while plain strings remain fully supported).
+
+A string has two wire forms, and the encoder sends the shorter.  The
+escaped form writes each ``<`` and ``>`` as a 4-byte entity reference and
+each ``&`` as a 5-byte one, adding 3 or 4 bytes per such character.  One
+CDATA section (``<![CDATA[...]]>``) writes the string as it is, inside 12
+bytes of framing.  A string takes CDATA only when its escapes would add
+more than those 12 bytes and it holds neither ``]]>`` (which would end the
+section) nor ``\r`` (a conforming parser reads a CR inside CDATA as a line
+feed, and no character reference can protect it there).  So the markup a
+string carries (an ``xml_call`` batch, a rendered page) travels unescaped,
+and the parser finds the section's end with one search instead of decoding
+entities; a string with a few ``&`` or none stays escaped.  Either form
+decodes to the same ``str``, typed ``xsd:string``.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import re
 from typing import Any
 
 from repro.faults import PortalError
-from repro.xmlutil.element import XmlElement
+from repro.xmlutil.element import CData, XmlElement
 from repro.xmlutil.qname import QName
 
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
@@ -38,6 +52,9 @@ _ESCAPED_CHAR = re.compile(r"_x([0-9A-F]{4}|[0-9A-F]{8})_")
 
 #: the element name of the empty key (no escaped key takes this form)
 _EMPTY_KEY = "_x_"
+
+#: the bytes a CDATA section adds around its text
+_CDATA_FRAMING = len("<![CDATA[]]>")
 
 
 class SoapEncodingError(PortalError, ValueError):
@@ -87,6 +104,20 @@ def _unescape_char(match: re.Match) -> str:
     return chr(code) if code <= 0x10FFFF else match[0]
 
 
+def _wire_text(value: str) -> str:
+    """*value* as one CDATA section when that is its shorter safe wire
+    form (see the module docstring), else as itself, to be escaped."""
+    # ``in`` scans at memory speed and ``count`` a character at a time, so
+    # count only what a string holds: most hold no markup (a base64 file
+    # among them), and an RSL string only ``&``
+    escapes = 4 * value.count("&") if "&" in value else 0
+    if "<" in value or ">" in value:
+        escapes += 3 * (value.count("<") + value.count(">"))
+    if escapes > _CDATA_FRAMING and "]]>" not in value and "\r" not in value:
+        return CData(value)
+    return value
+
+
 def _set_type(node: XmlElement, xsd_type: str) -> None:
     node.attributes[_TYPE_ATTR] = xsd_type
 
@@ -105,7 +136,7 @@ def _encode_into(node: XmlElement, value: Any) -> None:
         node.set_text(repr(value))
     elif isinstance(value, str):
         _set_type(node, "xsd:string")
-        node.set_text(value)
+        node.set_text(_wire_text(value))
     elif isinstance(value, bytes):
         _set_type(node, "xsd:base64Binary")
         node.set_text(base64.b64encode(value).decode("ascii"))
@@ -148,18 +179,33 @@ def decode_value(node: XmlElement) -> Any:
         return _decode_struct(node)
     if local in ("boolean",):
         return node.text.strip() in ("true", "1")
-    if local in ("int", "integer", "long", "short"):
-        return int(node.text.strip())
-    if local in ("double", "float", "decimal"):
-        return float(node.text.strip())
-    if local in ("base64Binary",):
-        return base64.b64decode(node.text.strip())
+    try:
+        if local in ("int", "integer", "long", "short"):
+            return int(node.text.strip())
+        if local in ("double", "float", "decimal"):
+            return float(node.text.strip())
+        if local in ("base64Binary",):
+            return _decode_base64(node.text)
+    except ValueError:
+        raise SoapEncodingError(
+            f"not an xsd:{local} value: {node.text[:40]!r}"
+        ) from None
     if local in ("string", "anyURI", "dateTime"):
         return node.text
     # untyped: infer structs from element children, else treat as string
     if node.children:
         return _decode_struct(node)
     return node.text
+
+
+def _decode_base64(text: str) -> bytes:
+    """Strict base64: every character outside ASCII whitespace (which
+    line-wrapped base64 holds) must be a base64 digit or its padding."""
+    data = text.encode("ascii")
+    try:
+        return base64.b64decode(data, validate=True)
+    except binascii.Error:  # wrapped lines, or not base64 at all
+        return base64.b64decode(b"".join(data.split()), validate=True)
 
 
 def _decode_struct(node: XmlElement) -> dict[str, Any]:

@@ -41,6 +41,16 @@ def _escape(text: str, table: dict[str, str]) -> str:
     return text
 
 
+class CData(str):
+    """Text that serializes as one CDATA section instead of escaped.
+
+    The parser reads a section back as plain text, so a ``CData`` is only a
+    choice of wire form; whoever builds one guarantees it holds no ``]]>``.
+    """
+
+    __slots__ = ()
+
+
 Content = Union["XmlElement", str]
 
 
@@ -225,7 +235,10 @@ class XmlElement:
         )
         for item in self.content:
             if isinstance(item, str):
-                parts.append(_escape(item, _ESCAPES_TEXT))
+                if item.__class__ is CData:
+                    parts.append(f"<![CDATA[{item}]]>")
+                else:
+                    parts.append(_escape(item, _ESCAPES_TEXT))
             else:
                 item._serialize(parts, local_prefixes, indent, depth + 1, pretty)
         if pretty:

@@ -131,6 +131,7 @@ def test_collector_service_soap_face(obs, echo_stack, network):
 # -- ring-buffer retention (bounded soaks, evict-oldest whole traces) ---------
 
 from repro.observability import Observability, TraceCollector  # noqa: E402
+from repro.observability.tracer import Span  # noqa: E402
 from repro.transport.clock import SimClock  # noqa: E402
 
 
@@ -185,3 +186,34 @@ def test_eviction_accounting_feeds_the_gauges():
         for row in obs.metrics.summary()["gauges"]
     }
     assert summary[("collector_evictions", "traces")] == 2.0
+
+
+def test_full_ring_leaves_unread_spans_unread():
+    """Eviction reads each span's trace id, not its dict form: a full ring
+    holds the spans it was handed until a view reads them."""
+    def feed(collector, as_dicts):
+        # five traces, each a child span and then its root; the second and
+        # third traces finish interleaved
+        order = ["t0", "t0", "t1", "t2", "t1", "t2", "t3", "t3", "t4", "t4"]
+        started = {}
+        for i, tid in enumerate(order):
+            if tid in started:
+                span = Span(tid, f"{tid}-root", "", "op", "server", "S", "h",
+                            started[tid], i + 1.0)
+            else:
+                started[tid] = i
+                span = Span(tid, f"{tid}-child", f"{tid}-root", "op", "server",
+                            "S", "h", i, i + 0.5)
+            collector.export(span.to_dict() if as_dicts else span)
+        return collector
+
+    ring = feed(TraceCollector(capacity=6), as_dicts=False)
+    assert all(type(span) is Span for span in ring._spans)
+    dicts = feed(TraceCollector(capacity=6), as_dicts=True)
+    assert ring.to_json() == dicts.to_json()
+    assert (ring.trace_evictions, ring.spans_evicted) == (2, 4)
+    assert (dicts.trace_evictions, dicts.spans_evicted) == (2, 4)
+    # read spans stay read: a later eviction keeps the dicts it holds
+    ring.export(Span("t5", "s10", "", "op", "server", "S", "h", 10, 11.0))
+    assert [type(span) for span in ring._spans] == [dict] * 4 + [Span]
+    assert ring.trace_ids() == ["t3", "t4", "t5"]

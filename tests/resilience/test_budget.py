@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults import BudgetViolationError, retryable_codes
 from repro.resilience.policy import (
+    DEADLINE_HEADER,
     Deadline,
     check_hop_budget,
     current_inbound_deadline,
@@ -21,6 +22,7 @@ from repro.resilience.policy import (
 from repro.soap.client import SoapClient
 from repro.soap.server import SoapService
 from repro.transport.server import HttpServer
+from repro.xmlutil.element import XmlElement
 
 NS = "urn:test:budget"
 
@@ -147,3 +149,30 @@ def test_forged_budget_is_refused_with_a_classified_fault(network):
         client.call("relay", timeout=5.0)
     assert err.value.retryable is False
     assert "Inner" in str(err.value.detail)
+
+
+def test_nan_deadline_is_ignored_and_never_forwarded(network):
+    """``nan`` compares false against every time: it would never expire and
+    would slip past every budget check, so it is a malformed deadline."""
+    nan = XmlElement(DEADLINE_HEADER, text="nan")
+    assert Deadline.from_headers([nan]) is None
+
+    forwarded = []
+    inner = SoapService("Inner", NS)
+    inner.expose(lambda: "pong", "ping")
+    inner.add_interceptor(
+        lambda method, params, envelope: forwarded.append(envelope.headers)
+    )
+    inner_url = inner.mount(HttpServer("inner.host", network), "/svc")
+
+    def relay():
+        return SoapClient(network, inner_url, NS, source="outer.host").call(
+            "ping"
+        )
+
+    outer_url = _deploy(network, "outer.host", "Outer", relay, "relay")
+    client = SoapClient(network, outer_url, NS, source="ui")
+    client.add_header_provider(lambda method, params: [nan])
+    assert client.call("relay") == "pong"
+    (headers,) = forwarded
+    assert DEADLINE_HEADER not in [entry.tag for entry in headers]

@@ -7,6 +7,7 @@ from repro.faults import (
     ResourceNotFoundError,
 )
 from repro.soap.client import SoapClient
+from repro.soap.encoding import XSI_NS
 from repro.soap.message import (
     SoapEnvelope,
     SoapFault,
@@ -179,6 +180,30 @@ def test_any_failure_in_dispatch_is_a_server_fault_envelope(service, monkeypatch
     fault = SoapFault.from_xml(SoapEnvelope.parse(response.body).body)
     assert fault.faultcode == "Server"
     assert "RuntimeError: dispatch machinery broke" in fault.faultstring
+
+
+@pytest.mark.parametrize("xsd_type, text", [
+    ("xsd:int", "abc"),
+    ("xsd:double", "x"),
+    ("xsd:int", "9" * 5000),
+    ("xsd:base64Binary", "!!!"),
+    ("xsd:base64Binary", "aGk=!!"),
+    ("xsd:base64Binary", "aGk=\u00e9"),
+], ids=["int", "double", "huge-int", "base64", "base64-tail", "non-ascii"])
+def test_mistyped_parameter_gets_an_encoding_fault(network, xsd_type, text):
+    svc = SoapService("echo", "urn:echo")
+    svc.expose(lambda x: x, "echo")
+    url = svc.mount(HttpServer("echo.example", network))
+    envelope = request_envelope("urn:echo", "echo", [""])
+    param = envelope.body.children[0]
+    param.set(f"{{{XSI_NS}}}type", xsd_type)
+    param.set_text(text)
+    response = svc.handle_http(
+        HttpRequest("POST", parse_url(url), {}, envelope.serialize())
+    )
+    assert response.status == 500
+    fault = SoapFault.from_xml(SoapEnvelope.parse(response.body).body)
+    assert fault.detail.get("code") == "Portal.Encoding"
 
 
 def test_get_rejected(network, service):

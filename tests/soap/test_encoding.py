@@ -1,10 +1,13 @@
+import base64
 from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.services.datamgmt import make_request_xml
 from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
+from repro.soap.message import request_envelope
 from repro.xmlutil.element import XmlElement, parse_xml
 
 
@@ -58,12 +61,78 @@ def test_bool_not_confused_with_int():
     assert decode_value(encode_value("p", 1)) == 1
 
 
+def test_line_wrapped_base64_still_decodes():
+    data = bytes(range(256))
+    node = encode_value("p", data)
+    node.set_text("\n" + base64.encodebytes(data).decode().replace("\n", "\r\n"))
+    assert decode_value(node) == data
+
+
+def _escaped(node: XmlElement) -> str:
+    """*node* serialized with every string in its escaped wire form."""
+    copy = node.clone()
+    for el in copy.iter():
+        el.content = [str(c) if isinstance(c, str) else c for c in el.content]
+    return copy.serialize()
+
+
+def test_markup_string_travels_as_one_cdata_section():
+    request = make_request_xml(
+        [("ls", ["/home/alice"]), ("cat", ["/home/alice/notes & todo.txt"])]
+    )
+    wire = encode_value("param0", request).serialize()
+    assert wire.endswith(f"><![CDATA[{request}]]></param0>")
+    assert len(wire) < len(_escaped(encode_value("param0", request)))
+    envelope = request_envelope("urn:srb", "xml_call", [request]).serialize()
+    # a conforming parser reads the same text back from the envelope
+    assert next(ElementTree.fromstring(envelope).iter("param0")).text == request
+
+
+#: the tracing-overhead benchmark's RSL payload (one ``&``)
+O1_PAYLOAD = (
+    "&(executable=/usr/local/bin/povray)"
+    '(arguments="+i scene.pov" "+o frame042.png" "+w 1024" "+h 768")'
+    "(directory=/home/gridsphere/renders/job-042)"
+    "(stdout=frame042.out)(stderr=frame042.err)"
+    "(count=4)(maxWallTime=30)(queue=normal)"
+)
+
+
+def test_rsl_payload_is_sent_as_before():
+    assert encode_value("param0", O1_PAYLOAD).serialize() == (
+        '<param0 ns0:type="xsd:string" '
+        'xmlns:ns0="http://www.w3.org/2001/XMLSchema-instance">'
+        "&amp;(executable=/usr/local/bin/povray)"
+        '(arguments="+i scene.pov" "+o frame042.png" "+w 1024" "+h 768")'
+        "(directory=/home/gridsphere/renders/job-042)"
+        "(stdout=frame042.out)(stderr=frame042.err)"
+        "(count=4)(maxWallTime=30)(queue=normal)</param0>"
+    )
+
+
+@pytest.mark.parametrize("value", [
+    "<a><b>",
+    "&&&",
+    "<a>]]>" + "<b/>" * 8,
+    "<a>\r\n" + "<b/>" * 8,
+], ids=["escapes-add-12", "three-amps", "holds-cdata-end", "holds-cr"])
+def test_strings_that_stay_escaped(value):
+    node = encode_value("p", value)
+    wire = node.serialize()
+    assert "CDATA" not in wire
+    assert wire == _escaped(node)
+    assert decode_value(parse_xml(wire)) == value
+
+
 # strings that survive XML text content (no control chars, no lone CR)
 wire_text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_characters="\r",
                            categories=("L", "N", "P", "S", "Zs")),
     max_size=40,
 )
+
+# markup-heavy strings, which may take either wire form
+markup_text = st.text(alphabet="<>&]ab =/", max_size=40)
 
 soap_values = st.recursive(
     st.one_of(
@@ -72,6 +141,7 @@ soap_values = st.recursive(
         st.integers(-2**53, 2**53),
         st.floats(allow_nan=False, allow_infinity=False),
         wire_text,
+        markup_text,
         st.binary(max_size=40),
     ),
     lambda children: st.one_of(
@@ -89,8 +159,10 @@ soap_values = st.recursive(
 @given(soap_values)
 @settings(max_examples=120, deadline=None)
 def test_encode_decode_property(value):
-    text = encode_value("p", value).serialize()
+    node = encode_value("p", value)
+    text = node.serialize()
     assert decode_value(parse_xml(text)) == value
+    assert len(text) <= len(_escaped(node))
 
 
 struct_with_any_keys = st.dictionaries(
