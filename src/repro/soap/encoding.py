@@ -14,11 +14,20 @@ CDATA section (``<![CDATA[...]]>``) writes the string as it is, inside 12
 bytes of framing.  A string takes CDATA only when its escapes would add
 more than those 12 bytes and it holds neither ``]]>`` (which would end the
 section) nor ``\r`` (a conforming parser reads a CR inside CDATA as a line
-feed, and no character reference can protect it there).  So the markup a
+feed, and no character reference can protect it there; the escaped form
+writes each CR as ``&#13;``, which reads back as CR).  So the markup a
 string carries (an ``xml_call`` batch, a rendered page) travels unescaped,
 and the parser finds the section's end with one search instead of decoding
 entities; a string with a few ``&`` or none stays escaped.  Either form
 decodes to the same ``str``, typed ``xsd:string``.
+
+Decoding reads each scalar type's lexical form strictly, and any other text
+raises :class:`SoapEncodingError`.  An ``xsd:boolean`` is ``true``,
+``false``, ``1`` or ``0``, and an ``xsd:int`` (or ``integer``, ``long``,
+``short``) is ASCII ``[+-]?[0-9]+``, each once whitespace collapse has
+stripped its ends; :mod:`repro.xmlutil.schema` reads schema-typed values by
+the same rule.  Base64 must hold only base64 digits, padding and ASCII
+whitespace.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from typing import Any
 from repro.faults import PortalError
 from repro.xmlutil.element import CData, XmlElement
 from repro.xmlutil.qname import QName
+from repro.xmlutil.schema import parse_boolean, parse_int
 
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -55,6 +65,9 @@ _EMPTY_KEY = "_x_"
 
 #: the bytes a CDATA section adds around its text
 _CDATA_FRAMING = len("<![CDATA[]]>")
+
+#: the characters of a string whose escapes are counted first
+_HEAD = 512
 
 
 class SoapEncodingError(PortalError, ValueError):
@@ -104,16 +117,31 @@ def _unescape_char(match: re.Match) -> str:
     return chr(code) if code <= 0x10FFFF else match[0]
 
 
-def _wire_text(value: str) -> str:
-    """*value* as one CDATA section when that is its shorter safe wire
-    form (see the module docstring), else as itself, to be escaped."""
+def _escape_cost(text: str) -> int:
+    """The bytes escaping adds to *text*: 4 per ``&``, 3 per ``<`` or ``>``."""
     # ``in`` scans at memory speed and ``count`` a character at a time, so
     # count only what a string holds: most hold no markup (a base64 file
     # among them), and an RSL string only ``&``
-    escapes = 4 * value.count("&") if "&" in value else 0
-    if "<" in value or ">" in value:
-        escapes += 3 * (value.count("<") + value.count(">"))
-    if escapes > _CDATA_FRAMING and "]]>" not in value and "\r" not in value:
+    cost = 4 * text.count("&") if "&" in text else 0
+    if "<" in text or ">" in text:
+        cost += 3 * (text.count("<") + text.count(">"))
+    return cost
+
+
+def _wire_text(value: str) -> str:
+    """*value* as one CDATA section when that is its shorter safe wire
+    form (see the module docstring), else as itself, to be escaped."""
+    # a head's escapes never outnumber the whole string's, so a head
+    # dense with markup settles a long string without counting all of it
+    escapes = _escape_cost(value[:_HEAD])
+    if escapes <= _CDATA_FRAMING and len(value) > _HEAD:
+        escapes = _escape_cost(value)
+    if (
+        escapes > _CDATA_FRAMING
+        and "\r" not in value
+        # ``]]>`` is a slow search on markup, ``]`` a fast one
+        and not ("]" in value and "]]>" in value)
+    ):
         return CData(value)
     return value
 
@@ -177,11 +205,11 @@ def decode_value(node: XmlElement) -> Any:
         return [decode_value(item) for item in node.children]
     if local == "Struct":
         return _decode_struct(node)
-    if local in ("boolean",):
-        return node.text.strip() in ("true", "1")
     try:
+        if local == "boolean":
+            return parse_boolean(node.text)
         if local in ("int", "integer", "long", "short"):
-            return int(node.text.strip())
+            return parse_int(node.text)
         if local in ("double", "float", "decimal"):
             return float(node.text.strip())
         if local in ("base64Binary",):

@@ -1,9 +1,18 @@
 """A lightweight XML infoset with serializer and hand-rolled parser.
 
 The portal layers exchange *documents*, not streams, and need deterministic
-serialization (for signing in :mod:`repro.security.saml`) plus namespace-aware
-access (for SOAP envelopes).  This module provides exactly that and nothing
-more: elements, attributes, character data, namespaces, comments-skipped.
+serialization plus namespace-aware access (for SOAP envelopes).  This module
+provides exactly that and nothing more: elements, attributes, character
+data, namespaces, comments-skipped.
+
+The serializer writes what any conforming parser reads back as the same
+infoset.  Every namespace a document uses is declared once, on its root
+start tag, so sibling subtrees in one namespace (the ``xsi:type`` of each
+SOAP argument) share one declaration.  The XML namespace keeps its reserved
+``xml`` prefix and is never declared.  Attribute values write TAB, LF and CR
+as ``&#9;``, ``&#10;`` and ``&#13;``, and text writes CR as ``&#13;``: a
+parser normalizes those characters when they travel raw (an attribute's to
+spaces, a CR or CRLF to LF).
 """
 
 from __future__ import annotations
@@ -13,9 +22,17 @@ from typing import Iterable, Iterator, Union
 
 from repro.xmlutil.qname import QName
 
-_ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ESCAPES_ATTR = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+_ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ESCAPES_ATTR = {
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\t": "&#9;", "\n": "&#10;", "\r": "&#13;",
+}
+#: any character an attribute value writes as a reference
+_ATTR_SPECIALS = re.compile("[" + "".join(_ESCAPES_ATTR) + "]")
 _NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+#: the namespace bound to the ``xml`` prefix in every document, undeclared
+XML_NS = "http://www.w3.org/XML/1998/namespace"
 
 #: a character reference body: ASCII decimal digits, or x/X and hex digits
 #: (leading zeros allowed, at most enough digits to name U+10FFFF)
@@ -41,6 +58,14 @@ def _escape(text: str, table: dict[str, str]) -> str:
     return text
 
 
+def _escape_attr(value: str) -> str:
+    # an attribute value is short and seldom holds any of seven characters:
+    # one regex search settles that faster than seven ``in`` tests
+    if _ATTR_SPECIALS.search(value) is None:
+        return value
+    return _escape(value, _ESCAPES_ATTR)
+
+
 class CData(str):
     """Text that serializes as one CDATA section instead of escaped.
 
@@ -52,6 +77,18 @@ class CData(str):
 
 
 Content = Union["XmlElement", str]
+
+
+def _prefixed(name: QName, prefixes: dict[str, str]) -> str:
+    """*name* as the document writes it, giving its namespace the next
+    prefix if it has none yet (*prefixes* maps a namespace to ``prefix:``)."""
+    if not name.namespace:
+        return name.local
+    prefix = prefixes.get(name.namespace)
+    if prefix is None:
+        # the XML namespace holds the first entry and no number
+        prefix = prefixes[name.namespace] = f"ns{len(prefixes) - 1}:"
+    return prefix + name.local
 
 
 class XmlElement:
@@ -181,27 +218,32 @@ class XmlElement:
         """Serialize to a string.
 
         Namespace prefixes are assigned deterministically in document order
-        (``ns0``, ``ns1``, ...), which makes serialization canonical enough
-        for the HMAC-based signing used by :mod:`repro.security.saml`.
+        (``ns0``, ``ns1``, ...) from one map for the whole tree, and the
+        root's start tag declares each of them once; the XML namespace is
+        written with its ``xml`` prefix and never declared.  Attribute
+        values escape TAB, LF and CR, and text escapes CR, as character
+        references, so a conforming parser reads every value back as it is.
         """
         parts: list[str] = []
         if declaration:
             parts.append('<?xml version="1.0" encoding="UTF-8"?>')
             if indent is not None:
                 parts.append("\n")
-        prefixes: dict[str, str] = {}
+        prefixes: dict[str, str] = {XML_NS: "xml:"}
+        root = len(parts)
         self._serialize(parts, prefixes, indent, 0, parent_pretty=False)
+        if len(prefixes) > 1:
+            # the whole tree is walked, so every namespace has its prefix:
+            # declare them all just before the root start tag's end
+            start = parts[root]
+            end = len(start) - (1 if self.content else 2)
+            declarations = "".join([
+                f' xmlns:{prefix[:-1]}="{_escape_attr(ns)}"'
+                for ns, prefix in prefixes.items()
+                if ns != XML_NS
+            ])
+            parts[root] = start[:end] + declarations + start[end:]
         return "".join(parts)
-
-    def _prefix_for(
-        self, ns: str, prefixes: dict[str, str], declared: list[str]
-    ) -> str:
-        if not ns:
-            return ""
-        if ns not in prefixes:
-            prefixes[ns] = f"ns{len(prefixes)}"
-            declared.append(ns)
-        return prefixes[ns] + ":"
 
     def _serialize(
         self,
@@ -214,18 +256,13 @@ class XmlElement:
         # indentation is only safe around element-only content; a parent with
         # mixed content must not have whitespace injected between its children
         pad = "\n" + " " * (indent * depth) if parent_pretty and depth else ""
-        # inherited prefixes are shared down the tree; new ones get declared here
-        declared: list[str] = []
-        local_prefixes = dict(prefixes)
-        tag = self._prefix_for(self.tag.namespace, local_prefixes, declared) + self.tag.local
-        attr_parts: list[str] = []
-        for key, value in self.attributes.items():
-            name = self._prefix_for(key.namespace, local_prefixes, declared) + key.local
-            attr_parts.append(f' {name}="{_escape(value, _ESCAPES_ATTR)}"')
-        for ns in declared:
-            prefix = local_prefixes[ns]
-            attr_parts.append(f' xmlns:{prefix}="{_escape(ns, _ESCAPES_ATTR)}"')
-        open_tag = f"{pad}<{tag}{''.join(attr_parts)}"
+        tag = _prefixed(self.tag, prefixes)
+        open_tag = f"{pad}<{tag}"
+        if self.attributes:
+            open_tag += "".join([
+                f' {_prefixed(key, prefixes)}="{_escape_attr(value)}"'
+                for key, value in self.attributes.items()
+            ])
         if not self.content:
             parts.append(open_tag + "/>")
             return
@@ -240,7 +277,7 @@ class XmlElement:
                 else:
                     parts.append(_escape(item, _ESCAPES_TEXT))
             else:
-                item._serialize(parts, local_prefixes, indent, depth + 1, pretty)
+                item._serialize(parts, prefixes, indent, depth + 1, pretty)
         if pretty:
             parts.append("\n" + " " * ((indent or 0) * depth))
         parts.append(f"</{tag}>")
@@ -293,7 +330,7 @@ class _Parser:
         self._skip_misc()
         if self.pos >= self.n or self.text[self.pos] != "<":
             raise self.fail("expected root element")
-        root = self._parse_element({"": "", "xml": "http://www.w3.org/XML/1998/namespace"})
+        root = self._parse_element({"": "", "xml": XML_NS})
         self._skip_misc()
         if self.pos != self.n:
             raise self.fail("trailing content after root element")

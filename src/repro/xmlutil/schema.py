@@ -30,6 +30,33 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema"
 
 UNBOUNDED = -1
 
+#: what XML Schema's whitespace collapse strips from a value's ends
+_XML_SPACE = " \t\n\r"
+
+#: the lexical form of ``xsd:int`` and the other integer types
+_INT_LEXICAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_boolean(text: str) -> bool:
+    """An ``xsd:boolean`` value: ``true``, ``false``, ``1`` or ``0`` once
+    whitespace collapse has stripped its ends, and nothing else."""
+    value = text.strip(_XML_SPACE)
+    if value in ("true", "1"):
+        return True
+    if value in ("false", "0"):
+        return False
+    raise ValueError(f"invalid xsd:boolean lexical value {text[:40]!r}")
+
+
+def parse_int(text: str) -> int:
+    """An ``xsd:int`` value: ASCII ``[+-]?[0-9]+`` once whitespace collapse
+    has stripped its ends (``int`` alone also takes ``1_000`` and digits of
+    other scripts)."""
+    value = text.strip(_XML_SPACE)
+    if _INT_LEXICAL.fullmatch(value) is None:
+        raise ValueError(f"invalid xsd:int lexical value {text[:40]!r}")
+    return int(value)
+
 
 class BuiltinType(enum.Enum):
     """The XSD builtin types the portal schemas use."""
@@ -62,16 +89,11 @@ class BuiltinType(enum.Enum):
         if self is BuiltinType.STRING or self is BuiltinType.ANYURI:
             return text
         if self is BuiltinType.INT:
-            return int(text.strip())
+            return parse_int(text)
         if self is BuiltinType.DOUBLE:
             return float(text.strip())
         if self is BuiltinType.BOOLEAN:
-            t = text.strip()
-            if t in ("true", "1"):
-                return True
-            if t in ("false", "0"):
-                return False
-            raise ValueError(f"invalid xsd:boolean lexical value {text!r}")
+            return parse_boolean(text)
         if self is BuiltinType.DATETIME:
             return text.strip()
         if self is BuiltinType.BASE64:

@@ -189,7 +189,14 @@ def test_any_failure_in_dispatch_is_a_server_fault_envelope(service, monkeypatch
     ("xsd:base64Binary", "!!!"),
     ("xsd:base64Binary", "aGk=!!"),
     ("xsd:base64Binary", "aGk=\u00e9"),
-], ids=["int", "double", "huge-int", "base64", "base64-tail", "non-ascii"])
+    ("xsd:boolean", "yes"),
+    ("xsd:boolean", "TRUE"),
+    ("xsd:boolean", "abc"),
+    ("xsd:int", "1_000"),
+    ("xsd:int", "\u0661\u0662"),
+], ids=["int", "double", "huge-int", "base64", "base64-tail", "non-ascii",
+        "boolean-yes", "boolean-upper", "boolean-abc", "int-underscore",
+        "int-arabic-indic"])
 def test_mistyped_parameter_gets_an_encoding_fault(network, xsd_type, text):
     svc = SoapService("echo", "urn:echo")
     svc.expose(lambda x: x, "echo")

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.services.datamgmt import make_request_xml
-from repro.soap.encoding import SoapEncodingError, decode_value, encode_value
+from repro.soap.encoding import (
+    SoapEncodingError,
+    _wire_text,
+    decode_value,
+    encode_value,
+)
 from repro.soap.message import request_envelope
-from repro.xmlutil.element import XmlElement, parse_xml
+from repro.xmlutil.element import CData, XmlElement, parse_xml
 
 
 @pytest.mark.parametrize(
@@ -122,6 +127,33 @@ def test_strings_that_stay_escaped(value):
     assert "CDATA" not in wire
     assert wire == _escaped(node)
     assert decode_value(parse_xml(wire)) == value
+
+
+def _reference_wire_text(value: str) -> str:
+    """The wire-form rule counted over the whole string: ``_wire_text``
+    counts a head first, and must choose exactly what this chooses."""
+    escapes = 4 * value.count("&") if "&" in value else 0
+    if "<" in value or ">" in value:
+        escapes += 3 * (value.count("<") + value.count(">"))
+    if escapes > 12 and "]]>" not in value and "\r" not in value:
+        return CData(value)
+    return value
+
+
+# markup-dense strings, some padded past the head ``_wire_text`` counts first
+markup_runs = st.text(alphabet="<>&]ab =/\r", max_size=40)
+padded_markup = st.builds(
+    lambda head, pad, tail: head + "x" * pad + tail,
+    markup_runs, st.integers(0, 1100), markup_runs,
+)
+
+
+@given(st.one_of(markup_runs, padded_markup))
+@settings(max_examples=300, deadline=None)
+def test_wire_form_choice_matches_the_whole_string_count(value):
+    chosen = _wire_text(value)
+    assert chosen == value
+    assert type(chosen) is type(_reference_wire_text(value))
 
 
 # strings that survive XML text content (no control chars, no lone CR)

@@ -1,6 +1,8 @@
 import pytest
 
 from repro.faults import PortalError, ResourceExhaustedError
+from repro.services.jobsubmit import GLOBUSRUN_NAMESPACE
+from repro.soap.encoding import XSI_NS
 from repro.soap.message import (
     SoapEnvelope,
     SoapFault,
@@ -19,6 +21,18 @@ def test_envelope_roundtrip_with_headers():
     assert parsed.header("Assertion").get("id") == "a1"
     assert parsed.header("Missing") is None
     assert not parsed.is_fault
+
+
+def test_multi_argument_request_declares_xsi_once():
+    # a portal-shell ``submit`` line's call: each of the six arguments
+    # names xsi:type, and one declaration on the Envelope serves them all
+    wire = request_envelope(
+        GLOBUSRUN_NAMESPACE, "run",
+        ["modi4.iu.edu", "/bin/echo", "hello", 1, "", 3600],
+    ).serialize()
+    assert wire.count(XSI_NS) == 1
+    # 775 bytes when each argument declared xsi itself (54 bytes apiece)
+    assert len(wire.encode("utf-8")) == 505
 
 
 def test_envelope_requires_single_body_element():

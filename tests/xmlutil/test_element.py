@@ -1,6 +1,8 @@
+from xml.etree import ElementTree
+
 import pytest
 
-from repro.xmlutil.element import XmlElement, XmlParseError, parse_xml
+from repro.xmlutil.element import XML_NS, XmlElement, XmlParseError, parse_xml
 from repro.xmlutil.qname import QName
 
 
@@ -32,6 +34,48 @@ def test_serialize_escapes_special_characters():
     assert "&lt;body&gt; &amp; more" in text
     assert "&quot;" in text
     assert parse_xml(text) == el
+
+
+def test_whitespace_reads_back_as_written():
+    # raw, a parser would read the attribute's TAB, LF and CR as spaces and
+    # the text's CR as LF
+    el = XmlElement("a", {"t": "x\ty\nz\rw"}, text="p\rq")
+    wire = el.serialize()
+    assert wire == '<a t="x&#9;y&#10;z&#13;w">p&#13;q</a>'
+    read = ElementTree.fromstring(wire)
+    assert (read.get("t"), read.text) == ("x\ty\nz\rw", "p\rq")
+    assert parse_xml(wire) == el
+
+
+def test_xml_namespace_keeps_its_reserved_prefix_undeclared():
+    el = XmlElement("a", {QName(XML_NS, "lang"): "en"})
+    el.child(QName("urn:x", "b")).set(QName(XML_NS, "space"), "preserve")
+    wire = el.serialize()
+    assert wire == (
+        '<a xml:lang="en" xmlns:ns0="urn:x"><ns0:b xml:space="preserve"/></a>'
+    )
+    assert ElementTree.fromstring(wire).get(f"{{{XML_NS}}}lang") == "en"
+    assert parse_xml(wire) == el
+
+
+def test_namespaces_are_declared_once_on_the_root():
+    root = XmlElement(QName("urn:r", "r"))
+    for index in range(3):
+        root.child("arg", text=str(index)).set(QName("urn:t", "type"), "x")
+    assert root.serialize() == (
+        '<ns0:r xmlns:ns0="urn:r" xmlns:ns1="urn:t">'
+        '<arg ns1:type="x">0</arg><arg ns1:type="x">1</arg>'
+        '<arg ns1:type="x">2</arg></ns0:r>'
+    )
+    # an empty root, and an indented document after its XML declaration
+    assert XmlElement(QName("urn:r", "r")).serialize() == (
+        '<ns0:r xmlns:ns0="urn:r"/>'
+    )
+    assert root.serialize(indent=1, declaration=True).splitlines()[:3] == [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<ns0:r xmlns:ns0="urn:r" xmlns:ns1="urn:t">',
+        ' <arg ns1:type="x">0</arg>',
+    ]
 
 
 def test_parse_basic_document():

@@ -68,6 +68,31 @@ def test_builtin_lexical_roundtrip():
         BuiltinType.BOOLEAN.parse("maybe")
 
 
+@pytest.mark.parametrize("builtin, text, value", [
+    (BuiltinType.BOOLEAN, " 1\n", True),
+    (BuiltinType.BOOLEAN, "\tfalse ", False),
+    (BuiltinType.INT, " -7\r\n", -7),
+    (BuiltinType.INT, "+3", 3),
+])
+def test_builtin_lexical_forms_collapse_whitespace(builtin, text, value):
+    assert builtin.parse(text) == value
+
+
+@pytest.mark.parametrize("builtin, text", [
+    (BuiltinType.BOOLEAN, "yes"),
+    (BuiltinType.BOOLEAN, "TRUE"),
+    (BuiltinType.BOOLEAN, "\u00a01"),
+    (BuiltinType.INT, "1_000"),
+    (BuiltinType.INT, "\u0661\u0662"),
+    (BuiltinType.INT, "\u00a012"),
+    (BuiltinType.INT, "1.0"),
+])
+def test_builtin_lexical_forms_are_strict(builtin, text):
+    # the same rule decode_value applies to SOAP parameters
+    with pytest.raises(ValueError):
+        builtin.parse(text)
+
+
 def test_schema_xsd_serialization_roundtrip():
     original = parse_schema(XSD)
     reparsed = parse_schema(original.serialize())
