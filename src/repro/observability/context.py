@@ -19,10 +19,17 @@ run.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 #: the HTTP header carrying the caller's trace context
 TRACEPARENT = "Traceparent"
+
+#: a W3C version-00 ``Traceparent``: lowercase hex trace id (32 digits) and
+#: parent id (16 digits), neither all zeros, and two hex flag digits
+_TRACEPARENT = re.compile(
+    r"00-(?!0{32})([0-9a-f]{32})-(?!0{16})([0-9a-f]{16})-[0-9a-f]{2}"
+).fullmatch
 
 
 @dataclass(slots=True)
@@ -40,13 +47,13 @@ class TraceContext:
     def from_traceparent(value: str) -> "TraceContext | None":
         """Decode the ``Traceparent`` header.
 
-        ``00-<trace id>-<parent span id>-01`` — malformed values are
-        ignored: observability headers must never break a call.
+        ``00-<trace id>-<parent span id>-<flags>`` in the W3C form (see
+        ``_TRACEPARENT``); any other value is ignored, so the request
+        starts a fresh trace: observability headers must never break a
+        call, nor let a caller name a trace no tracer could have minted.
         """
-        parts = value.split("-")
-        if len(parts) == 4 and parts[1] and parts[2]:
-            return TraceContext(parts[1], parts[2])
-        return None
+        match = _TRACEPARENT(value)
+        return None if match is None else TraceContext(match[1], match[2])
 
 
 def traceparent(trace_id: str, span_id: str) -> str:

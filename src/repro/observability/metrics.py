@@ -30,15 +30,14 @@ class Histogram:
     """A latency histogram over the fixed exponential bounds.
 
     ``counts`` has one slot per bound plus an overflow slot; identical
-    bounds everywhere make :meth:`merge` a plain vector add.
+    bounds everywhere make :meth:`merge` a plain vector add.  Each sample
+    lands in one slot, so the sample count is their sum, kept nowhere else.
     """
 
     counts: list[int] = field(default_factory=lambda: [0] * (len(BUCKET_BOUNDS) + 1))
     total: float = 0.0
-    count: int = 0
 
     def record(self, value: float) -> None:
-        self.count += 1
         self.total += value
         # first bound with value <= bound; past the last bound = overflow slot
         self.counts[bisect_left(BUCKET_BOUNDS, value)] += 1
@@ -47,17 +46,22 @@ class Histogram:
         for i, n in enumerate(other.counts):
             self.counts[i] += n
         self.total += other.total
-        self.count += other.count
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts)
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     def percentile(self, q: float) -> float:
         """Upper-bound estimate of the *q* quantile (0 < q <= 1)."""
-        if not self.count:
+        count = self.count
+        if not count:
             return 0.0
-        rank = q * self.count
+        rank = q * count
         seen = 0
         for i, n in enumerate(self.counts):
             seen += n

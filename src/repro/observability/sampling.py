@@ -30,6 +30,7 @@ that record a trace's spans also share the sampler that decides it.
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Any, Iterable
 
@@ -152,7 +153,8 @@ class LatencyOutlierPolicy(SamplingPolicy):
         self.quantile = quantile
         self.min_baseline = min_baseline
         #: per (service, root operation): [sketch, count at the next
-        #: threshold refresh, cached threshold] — one lookup per trace
+        #: threshold refresh, cached threshold] — one lookup per trace; the
+        #: threshold is infinite until the baseline is complete
         self._tails: dict[tuple[str, str], list] = {}
 
     def decide(self, trace: TraceBuffer) -> bool | None:
@@ -162,19 +164,15 @@ class LatencyOutlierPolicy(SamplingPolicy):
         key = (root.service or root.host, root.name)
         tail = self._tails.get(key)
         if tail is None:
-            tail = self._tails[key] = [QuantileSketch(), self.min_baseline, 0.0]
+            tail = self._tails[key] = [QuantileSketch(), self.min_baseline, math.inf]
         sketch = tail[0]
-        duration = root.end - root.start
-        keep = None
         count = sketch.count
-        if count >= self.min_baseline:
-            if count >= tail[1]:
-                tail[1] = count + self.REFRESH_EVERY
-                tail[2] = sketch.quantile(self.quantile)
-            if duration >= tail[2]:
-                keep = True
+        if count >= tail[1]:
+            tail[1] = count + self.REFRESH_EVERY
+            tail[2] = sketch.quantile(self.quantile)
+        duration = root.end - root.start
         sketch.record(duration)
-        return keep
+        return True if duration >= tail[2] else None
 
 
 class ProbabilisticPolicy(SamplingPolicy):
@@ -191,8 +189,16 @@ class ProbabilisticPolicy(SamplingPolicy):
     def __init__(self, rate: float = 0.05, seed: int = 0):
         self.rate = rate
         self.seed = seed & _M64
+        #: a trace is kept when its 64-bit hash is below this: when the
+        #: hash's top 53 bits, read as a fraction of one, are below *rate*
+        self._below = (
+            0 if not rate > 0.0
+            else 1 << 64 if rate >= 1.0
+            else math.ceil(rate * 2.0**53) << 11
+        )
 
-    def _coin(self, trace_id: str) -> float:
+    def decide(self, trace: TraceBuffer) -> bool | None:
+        trace_id = trace.trace_id
         try:
             key = int(trace_id[:16], 16)
         except ValueError:
@@ -200,16 +206,7 @@ class ProbabilisticPolicy(SamplingPolicy):
         v = (key ^ self.seed) & _M64
         v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _M64
-        v ^= v >> 31
-        return (v >> 11) * 2.0**-53
-
-    def decide(self, trace: TraceBuffer) -> bool | None:
-        rate = self.rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return None
-        return True if self._coin(trace.trace_id) < rate else None
+        return True if (v ^ (v >> 31)) < self._below else None
 
 
 def default_policies(

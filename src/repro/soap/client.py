@@ -191,13 +191,12 @@ class SoapClient:
 
     def _attempt(
         self, method: str, params: list[Any], deadline, idem_key: str = "",
-        obs=None, series=None,
+        tracer=None, series=None,
     ) -> Any:
-        """One attempt, wrapped in a client span + RED sample (on *series*)
-        when the observability layer is installed."""
-        if obs is None:
+        """One attempt, wrapped in a client span (on *tracer*) + RED sample
+        (on *series*) when the observability layer is installed."""
+        if tracer is None:
             return self._call_once(method, params, deadline, idem_key)
-        tracer = obs.tracer
         span = tracer.start(method, "client", self.service_name, self.source)
         try:
             result = self._call_once(method, params, deadline, idem_key, span)
@@ -271,7 +270,7 @@ class SoapClient:
         )
         try:
             result = self._call_loop(
-                method, param_list, deadline, idempotency_key, obs,
+                method, param_list, deadline, idempotency_key, tracer,
                 furniture[1],
             )
         except PortalError as exc:
@@ -285,7 +284,7 @@ class SoapClient:
 
     def _call_loop(
         self, method: str, param_list: list[Any], deadline,
-        idempotency_key: str, obs=None, series=None,
+        idempotency_key: str, tracer=None, series=None,
     ) -> Any:
         """The retry loop around individual attempts."""
         policy = self.retry_policy or NO_RETRY
@@ -295,7 +294,8 @@ class SoapClient:
                 raise self._deadline_error(method, deadline)
             try:
                 return self._attempt(
-                    method, param_list, deadline, idempotency_key, obs, series
+                    method, param_list, deadline, idempotency_key, tracer,
+                    series,
                 )
             except Exception as exc:
                 attempts += 1

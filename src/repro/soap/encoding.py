@@ -23,10 +23,13 @@ decodes to the same ``str``, typed ``xsd:string``.
 
 Decoding reads each scalar type's lexical form strictly, and any other text
 raises :class:`SoapEncodingError`.  An ``xsd:boolean`` is ``true``,
-``false``, ``1`` or ``0``, and an ``xsd:int`` (or ``integer``, ``long``,
-``short``) is ASCII ``[+-]?[0-9]+``, each once whitespace collapse has
-stripped its ends; :mod:`repro.xmlutil.schema` reads schema-typed values by
-the same rule.  Base64 must hold only base64 digits, padding and ASCII
+``false``, ``1`` or ``0``, an ``xsd:int`` (or ``integer``, ``long``,
+``short``) is ASCII ``[+-]?[0-9]+``, and an ``xsd:double`` (or ``float``,
+``decimal``) is ASCII decimal or scientific notation, ``INF``, ``-INF`` or
+``NaN``, each once whitespace collapse has stripped its ends.  A double is
+written as ``repr`` gives it when finite, else by those three names.
+:mod:`repro.xmlutil.schema` reads and writes schema-typed values by the
+same rules.  Base64 must hold only base64 digits, padding and ASCII
 whitespace.
 """
 
@@ -40,7 +43,12 @@ from typing import Any
 from repro.faults import PortalError
 from repro.xmlutil.element import CData, XmlElement
 from repro.xmlutil.qname import QName
-from repro.xmlutil.schema import parse_boolean, parse_int
+from repro.xmlutil.schema import (
+    format_double,
+    parse_boolean,
+    parse_double,
+    parse_int,
+)
 
 SOAP_ENC_NS = "http://schemas.xmlsoap.org/soap/encoding/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -161,7 +169,7 @@ def _encode_into(node: XmlElement, value: Any) -> None:
         node.set_text(str(value))
     elif isinstance(value, float):
         _set_type(node, "xsd:double")
-        node.set_text(repr(value))
+        node.set_text(format_double(value))
     elif isinstance(value, str):
         _set_type(node, "xsd:string")
         node.set_text(_wire_text(value))
@@ -211,7 +219,7 @@ def decode_value(node: XmlElement) -> Any:
         if local in ("int", "integer", "long", "short"):
             return parse_int(node.text)
         if local in ("double", "float", "decimal"):
-            return float(node.text.strip())
+            return parse_double(node.text)
         if local in ("base64Binary",):
             return _decode_base64(node.text)
     except ValueError:

@@ -38,6 +38,12 @@ XML_NS = "http://www.w3.org/XML/1998/namespace"
 #: (leading zeros allowed, at most enough digits to name U+10FFFF)
 _CHAR_REF = re.compile(r"#(?:0*([0-9]{1,7})|[xX]0*([0-9a-fA-F]{1,6}))")
 
+#: a name and a whitespace run, scanned in C: ``\w`` is exactly the
+#: characters ``str.isalnum()`` accepts plus ``_``, and ``\s`` exactly
+#: those ``str.isspace()`` accepts
+_NAME = re.compile(r"[\w.:-]+").match
+_SPACE = re.compile(r"\s*").match
+
 #: the deepest element nesting the parser accepts; it recurses two stack
 #: frames per level, so an unbounded document could exhaust the stack
 MAX_DEPTH = 256
@@ -338,11 +344,9 @@ class _Parser:
 
     def _skip_misc(self) -> None:
         """Skip whitespace, comments, processing instructions, and DOCTYPE."""
-        while self.pos < self.n:
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif self.text.startswith("<?", self.pos):
+        while True:
+            self.pos = _SPACE(self.text, self.pos).end()
+            if self.text.startswith("<?", self.pos):
                 end = self.text.find("?>", self.pos)
                 if end < 0:
                     raise self.fail("unterminated processing instruction")
@@ -369,18 +373,14 @@ class _Parser:
                 return
 
     def _parse_name(self) -> str:
-        start = self.pos
-        while self.pos < self.n and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_.:-"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        match = _NAME(self.text, self.pos)
+        if match is None:
             raise self.fail("expected a name")
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match[0]
 
     def _skip_ws(self) -> None:
-        while self.pos < self.n and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE(self.text, self.pos).end()
 
     def _resolve(self, name: str, nsmap: dict[str, str], *, attr: bool) -> QName:
         if ":" in name:
@@ -501,27 +501,26 @@ class _Parser:
 
 
 def _decode_entities(text: str, parser: _Parser) -> str:
-    if "&" not in text:
+    amp = text.find("&")
+    if amp < 0:
         return text
     out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i)
+    start = 0  # the first character not yet copied to *out*
+    while amp >= 0:
+        end = text.find(";", amp)
         if end < 0:
             raise parser.fail("unterminated entity reference")
-        entity = text[i + 1:end]
+        out.append(text[start:amp])
+        entity = text[amp + 1:end]
         if entity.startswith("#"):
             out.append(_char_ref(entity, parser))
         elif entity in _NAMED_ENTITIES:
             out.append(_NAMED_ENTITIES[entity])
         else:
             raise parser.fail(f"unknown entity &{entity};")
-        i = end + 1
+        start = end + 1
+        amp = text.find("&", start)
+    out.append(text[start:])
     return "".join(out)
 
 

@@ -19,6 +19,7 @@ Schemas can be built programmatically (the style used by
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -35,6 +36,13 @@ _XML_SPACE = " \t\n\r"
 
 #: the lexical form of ``xsd:int`` and the other integer types
 _INT_LEXICAL = re.compile(r"[+-]?[0-9]+")
+
+#: the lexical form of a finite ``xsd:double``: ASCII decimal digits with an
+#: optional point and exponent
+_DOUBLE_LEXICAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+#: the ``xsd:double`` values XML Schema spells by name
+_DOUBLE_NAMED = {"INF": math.inf, "-INF": -math.inf, "NaN": math.nan}
 
 
 def parse_boolean(text: str) -> bool:
@@ -56,6 +64,30 @@ def parse_int(text: str) -> int:
     if _INT_LEXICAL.fullmatch(value) is None:
         raise ValueError(f"invalid xsd:int lexical value {text[:40]!r}")
     return int(value)
+
+
+def parse_double(text: str) -> float:
+    """An ``xsd:double`` value: ASCII decimal or scientific notation, or
+    ``INF``, ``-INF`` or ``NaN``, once whitespace collapse has stripped its
+    ends (``float`` alone also takes ``1_0``, ``infinity`` and digits of
+    other scripts)."""
+    value = text.strip(_XML_SPACE)
+    if _DOUBLE_LEXICAL.fullmatch(value) is not None:
+        return float(value)
+    if value in _DOUBLE_NAMED:
+        return _DOUBLE_NAMED[value]
+    raise ValueError(f"invalid xsd:double lexical value {text[:40]!r}")
+
+
+def format_double(value: float) -> str:
+    """The ``xsd:double`` lexical form of *value*: ``repr`` when finite,
+    else ``INF``, ``-INF`` or ``NaN``."""
+    value = float(value)
+    if math.isfinite(value):
+        return repr(value)
+    if math.isnan(value):
+        return "NaN"
+    return "INF" if value > 0 else "-INF"
 
 
 class BuiltinType(enum.Enum):
@@ -91,7 +123,7 @@ class BuiltinType(enum.Enum):
         if self is BuiltinType.INT:
             return parse_int(text)
         if self is BuiltinType.DOUBLE:
-            return float(text.strip())
+            return parse_double(text)
         if self is BuiltinType.BOOLEAN:
             return parse_boolean(text)
         if self is BuiltinType.DATETIME:
@@ -105,7 +137,7 @@ class BuiltinType(enum.Enum):
         if self is BuiltinType.BOOLEAN:
             return "true" if value else "false"
         if self is BuiltinType.DOUBLE:
-            return repr(float(value))
+            return format_double(value)
         return str(value)
 
 

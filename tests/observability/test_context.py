@@ -3,7 +3,18 @@ minting."""
 
 import pytest
 
-from repro.observability.context import IdGenerator, TraceContext, traceparent
+from repro.observability.context import (
+    TRACEPARENT,
+    IdGenerator,
+    TraceContext,
+    traceparent,
+)
+from repro.observability.runtime import Observability
+from repro.soap.message import request_envelope
+from repro.soap.server import SoapService
+from repro.transport.http import HttpRequest, parse_url
+from repro.transport.network import VirtualNetwork
+from repro.transport.server import HttpServer
 
 
 class TestTraceparent:
@@ -18,6 +29,54 @@ class TestTraceparent:
     )
     def test_malformed_value_is_ignored(self, value):
         assert TraceContext.from_traceparent(value) is None
+
+    @pytest.mark.parametrize("value", [
+        "00-../../x-y-01",
+        f"zz-{'a' * 5000}-{'b' * 16}-01",
+        f"01-{'a' * 32}-{'b' * 16}-01",
+        f"ff-{'a' * 32}-{'b' * 16}-01",
+        f"00-{'0' * 32}-{'b' * 16}-01",
+        f"00-{'a' * 32}-{'0' * 16}-01",
+        f"00-{'A' * 32}-{'b' * 16}-01",
+        f"00-{'a' * 32}-{'B' * 16}-01",
+        f"00-{'a' * 31}-{'b' * 16}-01",
+        f"00-{'a' * 33}-{'b' * 16}-01",
+        f"00-{'a' * 32}-{'b' * 15}-01",
+        f"00-{'a' * 32}-{'b' * 16}-1",
+        f"00-{'a' * 32}-{'b' * 16}-0g",
+        f"00-{'a' * 32}-{'b' * 16}-01\n",
+        f" 00-{'a' * 32}-{'b' * 16}-01",
+        f"00-{'g' * 32}-{'b' * 16}-01",
+        "00-" + "\u0661" * 32 + "-" + "b" * 16 + "-01",
+    ], ids=[
+        "path-like", "huge-bad-version", "version-01", "version-ff",
+        "zero-trace", "zero-parent", "upper-trace", "upper-parent",
+        "short-trace", "long-trace", "short-parent", "one-flag-digit",
+        "non-hex-flags", "trailing-newline", "leading-space",
+        "non-hex-trace", "arabic-indic-digits",
+    ])
+    def test_hostile_value_starts_a_fresh_trace(self, value):
+        assert TraceContext.from_traceparent(value) is None
+
+    def test_any_flags_are_accepted(self):
+        value = f"00-{'0f' * 16}-{'1e' * 8}-00"
+        assert TraceContext.from_traceparent(value) == TraceContext(
+            "0f" * 16, "1e" * 8
+        )
+
+    def test_server_ignores_a_hostile_traceparent(self):
+        network = VirtualNetwork()
+        obs = Observability.install(network, seed=3)
+        service = SoapService("Echo", "urn:echo")
+        service.expose(lambda text: text, name="echo")
+        url = service.mount(HttpServer("echo.example", network), "/echo")
+        body = request_envelope("urn:echo", "echo", ["x"]).serialize()
+        headers = {TRACEPARENT: "00-../../x-y-01"}
+        service.handle_http(HttpRequest("POST", parse_url(url), headers, body))
+        (span,) = obs.collector.spans()
+        assert span["parent_id"] == ""
+        assert span["trace_id"] != "../../x"
+        assert len(span["trace_id"]) == 32
 
 
 class TestIdGenerator:

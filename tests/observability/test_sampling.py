@@ -91,13 +91,41 @@ class TestPolicyChain:
         other = ProbabilisticPolicy(rate=0.3, seed=10)
         # the coin hashes the leading 16 hex chars, so vary those
         ids = [f"{i:016x}" + "0" * 16 for i in range(400)]
-        decisions_a = [a._coin(tid) < 0.3 for tid in ids]
-        decisions_b = [b._coin(tid) < 0.3 for tid in ids]
-        decisions_other = [other._coin(tid) < 0.3 for tid in ids]
+        decisions_a = [a.decide(TraceBuffer(tid)) is True for tid in ids]
+        decisions_b = [b.decide(TraceBuffer(tid)) is True for tid in ids]
+        decisions_other = [
+            other.decide(TraceBuffer(tid)) is True for tid in ids
+        ]
         assert decisions_a == decisions_b
         assert decisions_a != decisions_other
         kept = sum(decisions_a)
         assert 0 < kept < len(ids)  # an actual fraction, not all-or-nothing
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([0.0, 1e-9, 0.05, 1 / 3, 0.5, 0.999, 1.0, 1.5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_coin_keeps_what_the_fractional_coin_kept(self, key, rate):
+        # the reference: the hash's top 53 bits as a fraction of one, kept
+        # when below the rate (the integer threshold must agree exactly)
+        policy = ProbabilisticPolicy(rate=rate, seed=7)
+        v = (key ^ 7) & 0xFFFFFFFFFFFFFFFF
+        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        fraction = ((v ^ (v >> 31)) >> 11) * 2.0**-53
+        kept = rate >= 1.0 or (rate > 0.0 and fraction < rate)
+        trace = TraceBuffer(f"{key:016x}" + "0" * 16)
+        assert (policy.decide(trace) is True) == kept
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_coin_threshold_sits_at_the_rate(self, rate):
+        # a hash whose top 53 bits read k is kept when k < below, which
+        # must mean exactly k * 2**-53 < rate
+        below = ProbabilisticPolicy(rate=rate)._below
+        assert below % 2**11 == 0
+        below >>= 11
+        assert (below - 1) * 2.0**-53 < rate <= below * 2.0**-53
 
     def test_chain_order_errors_beat_the_coin(self):
         sampler, _ = _sampler(rate=1.0)

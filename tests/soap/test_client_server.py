@@ -194,9 +194,13 @@ def test_any_failure_in_dispatch_is_a_server_fault_envelope(service, monkeypatch
     ("xsd:boolean", "abc"),
     ("xsd:int", "1_000"),
     ("xsd:int", "\u0661\u0662"),
+    ("xsd:double", "1_0"),
+    ("xsd:double", "infinity"),
+    ("xsd:double", "\u0661.5"),
 ], ids=["int", "double", "huge-int", "base64", "base64-tail", "non-ascii",
         "boolean-yes", "boolean-upper", "boolean-abc", "int-underscore",
-        "int-arabic-indic"])
+        "int-arabic-indic", "double-underscore", "double-infinity",
+        "double-arabic-indic"])
 def test_mistyped_parameter_gets_an_encoding_fault(network, xsd_type, text):
     svc = SoapService("echo", "urn:echo")
     svc.expose(lambda x: x, "echo")

@@ -61,6 +61,18 @@ def test_unencodable_type_rejected():
         encode_value("p", {1: "non-string key"})
 
 
+@pytest.mark.parametrize("value, text", [
+    (float("inf"), "INF"),
+    (float("-inf"), "-INF"),
+    (float("nan"), "NaN"),
+])
+def test_non_finite_doubles_travel_in_xml_schema_spelling(value, text):
+    wire = encode_value("p", value).serialize()
+    assert ElementTree.fromstring(wire).text == text
+    decoded = decode_value(parse_xml(wire))
+    assert repr(decoded) == repr(value)
+
+
 def test_bool_not_confused_with_int():
     assert decode_value(encode_value("p", True)) is True
     assert decode_value(encode_value("p", 1)) == 1

@@ -1,7 +1,9 @@
+import sys
 from xml.etree import ElementTree
 
 import pytest
 
+from repro.xmlutil import element
 from repro.xmlutil.element import XML_NS, XmlElement, XmlParseError, parse_xml
 from repro.xmlutil.qname import QName
 
@@ -105,6 +107,98 @@ def test_parse_cdata_and_entities():
         "&#0067;&#X0044;&#x1F600;&#9;&#xD;</t>"
     )
     assert doc.text == "<raw> & stuff &ABCD\U0001F600\t\r"
+
+
+@pytest.mark.parametrize("wire, text", [
+    ("<t>&amp;&lt;&gt;&quot;&apos;</t>", "&<>\"'"),
+    ("<t>&amp;(count=4)</t>", "&(count=4)"),
+    ("<t>(count=4)&gt;</t>", "(count=4)>"),
+    ("<t>&#65;&#x42;&#0067;&#x00044;&#X45;</t>", "ABCDE"),
+    ("<t>a&amp;b&#38;c&#x26;d</t>", "a&b&c&d"),
+    ("<t>&amp;amp;&#38;#65;</t>", "&amp;&#65;"),
+    ("<t>\u00e9&#xE9;&#233;\u0663&#x663;</t>", "\u00e9\u00e9\u00e9\u0663\u0663"),
+    ("<t>&#x1F600;x&#128512;</t>", "\U0001F600x\U0001F600"),
+    ("<t>a<![CDATA[&amp;]]>&amp;<b/>&lt;</t>", "a&amp;&<"),
+], ids=["adjacent", "first", "last", "decimal-and-hex", "interleaved",
+        "decoded-once", "non-ascii", "astral", "around-cdata-and-child"])
+def test_parse_entity_dense_text(wire, text):
+    assert parse_xml(wire).text == text
+
+
+def test_parse_references_in_attribute_values():
+    doc = parse_xml(
+        '<a v="&amp;&lt;&#9;&#10;x&quot;" w=\'&apos;&amp;\' u="&#x26;"/>'
+    )
+    assert [doc.get("v"), doc.get("w"), doc.get("u")] == [
+        "&<\t\nx\"", "'&", "&",
+    ]
+
+
+@pytest.mark.parametrize("wire, message, offset", [
+    ("<a>&unknown;</a>", "unknown entity &unknown;", 3),
+    ("<a>&AMP;</a>", "unknown entity &AMP;", 3),
+    ("<a>&;</a>", "unknown entity &;", 3),
+    ("<a>& amp;</a>", "unknown entity & amp;", 3),
+    ("<a>&a&b;</a>", "unknown entity &a&b;", 3),
+    ("<a>x &amp</a>", "unterminated entity reference", 3),
+    ("<a>&amp;&</a>", "unterminated entity reference", 3),
+    ("<a>&#xZZ;</a>", "malformed character reference &#xZZ;", 3),
+    ("<a>&#;</a>", "malformed character reference &#;", 3),
+    ("<a>&#X;</a>", "malformed character reference &#X;", 3),
+    ("<a>&#-1;</a>", "malformed character reference &#-1;", 3),
+    ("<a>&#6_5;</a>", "malformed character reference &#6_5;", 3),
+    ("<a>&#99999999999999999999;</a>",
+     "malformed character reference &#99999999999999999999;", 3),
+    ("<a>&#xD800;</a>", "&#xD800; names no XML character", 3),
+    ("<a>&#x110000;</a>", "&#x110000; names no XML character", 3),
+    ("<a>&#1;</a>", "&#1; names no XML character", 3),
+    ("<a>&#xFFFE;</a>", "&#xFFFE; names no XML character", 3),
+    # an attribute value's error is at the value's first character, a
+    # text run's at the run's
+    ('<a v="&#xD800;"/>', "&#xD800; names no XML character", 6),
+    ("<a v='x &bogus; y'/>", "unknown entity &bogus;", 6),
+    ("<a v='&lt'/>", "unterminated entity reference", 6),
+    ("<a w='1' v='&amp;&#0;'/>", "&#0; names no XML character", 12),
+    ("<a>ok<b/>tail &zz;</a>", "unknown entity &zz;", 9),
+    ("<a><![CDATA[&x;]]>&amp;&y;</a>", "unknown entity &y;", 18),
+])
+def test_parse_malformed_reference_errors(wire, message, offset):
+    with pytest.raises(XmlParseError) as caught:
+        parse_xml(wire)
+    assert str(caught.value) == f"{message} (at offset {offset})"
+    assert caught.value.pos == offset
+
+
+def test_parse_names_and_whitespace_beyond_ascii():
+    doc = parse_xml(
+        "\u3000<\u00e9\u0663 a\u0663='1'\u3000b='2'\u0085>x"
+        "</\u00e9\u0663\u2028>\u0085"
+    )
+    assert doc.tag == QName("", "\u00e9\u0663")
+    assert doc.attributes == {QName("", "a\u0663"): "1", QName("", "b"): "2"}
+    assert doc.text == "x"
+
+
+@pytest.mark.parametrize("wire, message, offset", [
+    ("<a\u00b7/>", "expected a name", 2),
+    ("<a></a\u3000x>", "malformed close tag", 7),
+    ("\u3000\u0085", "expected root element", 2),
+])
+def test_parse_name_and_whitespace_errors(wire, message, offset):
+    with pytest.raises(XmlParseError) as caught:
+        parse_xml(wire)
+    assert str(caught.value) == f"{message} (at offset {offset})"
+
+
+def test_name_and_whitespace_scans_accept_what_str_predicates_accept():
+    # the parser scans a name with ``[\w.:-]+`` and whitespace with ``\s*``;
+    # on every code point those classes must be ``isalnum()`` or ``_.:-``,
+    # and ``isspace()``, which is what the parser has always accepted
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    name_chars = "".join(ch for ch in every if ch.isalnum() or ch in "_.:-")
+    not_spaces = "".join(ch for ch in every if not ch.isspace())
+    assert "".join(element._NAME.__self__.findall(every)) == name_chars
+    assert element._SPACE.__self__.sub("", every) == not_spaces
 
 
 def test_parse_doctype_skipped():

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from repro.xmlutil.element import XML_NS, XmlElement, parse_xml
 from repro.xmlutil.qname import QName
 
+# ASCII and non-ASCII letters and digits, "." and "-": what both parsers
+# read as name characters (a name starts with a letter or "_")
 names = st.text(
-    alphabet=string.ascii_letters + "_", min_size=1, max_size=8
+    alphabet=string.ascii_letters + "_.-07\u00e9\u0436\u4e2d\u0663",
+    min_size=1, max_size=8,
 ).filter(
     # "xmlns" is a reserved namespace declaration, not an attribute name;
     # XmlElement.set rejects it (see test_element.py)
@@ -36,9 +39,18 @@ qnames = st.builds(
 _NOT_XML = "".join(
     chr(code) for code in range(0x20) if chr(code) not in "\t\n\r"
 ) + "\ufffe\uffff"
-texts = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters=_NOT_XML),
-    max_size=30,
+texts = st.one_of(
+    st.text(
+        alphabet=st.characters(codec="utf-8", exclude_characters=_NOT_XML),
+        max_size=30,
+    ),
+    # dense in what the parser decodes or scans: references ("&", ";",
+    # "#" and markup), non-ASCII letters and digits, and spaces beyond
+    # ASCII (U+3000, NEL, NBSP) beside TAB, LF and CR
+    st.text(
+        alphabet="&;#<>]x09 \u00e9\u0663\u3000\u0085\u00a0\t\n\r",
+        max_size=30,
+    ),
 )
 
 

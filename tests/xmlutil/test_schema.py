@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from repro.xmlutil.schema import (
@@ -73,9 +75,33 @@ def test_builtin_lexical_roundtrip():
     (BuiltinType.BOOLEAN, "\tfalse ", False),
     (BuiltinType.INT, " -7\r\n", -7),
     (BuiltinType.INT, "+3", 3),
+    (BuiltinType.DOUBLE, " 1.5\n", 1.5),
+    (BuiltinType.DOUBLE, "-.5E+2", -50.0),
+    (BuiltinType.DOUBLE, "7.", 7.0),
+    (BuiltinType.DOUBLE, "\tINF ", math.inf),
+    (BuiltinType.DOUBLE, "-INF", -math.inf),
 ])
 def test_builtin_lexical_forms_collapse_whitespace(builtin, text, value):
     assert builtin.parse(text) == value
+
+
+def test_double_not_a_number_is_spelled_nan():
+    assert math.isnan(BuiltinType.DOUBLE.parse(" NaN "))
+    assert BuiltinType.DOUBLE.format(math.nan) == "NaN"
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.inf, "INF"),
+    (-math.inf, "-INF"),
+    (1.5, "1.5"),
+    (1e16, "1e+16"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+])
+def test_double_formats_in_its_lexical_form(value, text):
+    # finite values keep repr, so every finite double's wire form is unchanged
+    assert BuiltinType.DOUBLE.format(value) == text
+    assert BuiltinType.DOUBLE.parse(text) == value
 
 
 @pytest.mark.parametrize("builtin, text", [
@@ -86,6 +112,17 @@ def test_builtin_lexical_forms_collapse_whitespace(builtin, text, value):
     (BuiltinType.INT, "\u0661\u0662"),
     (BuiltinType.INT, "\u00a012"),
     (BuiltinType.INT, "1.0"),
+    (BuiltinType.DOUBLE, "1_0"),
+    (BuiltinType.DOUBLE, "infinity"),
+    (BuiltinType.DOUBLE, "inf"),
+    (BuiltinType.DOUBLE, "+INF"),
+    (BuiltinType.DOUBLE, "nan"),
+    (BuiltinType.DOUBLE, "\u0661.5"),
+    (BuiltinType.DOUBLE, "\u00a01.5"),
+    (BuiltinType.DOUBLE, "."),
+    (BuiltinType.DOUBLE, "1e"),
+    (BuiltinType.DOUBLE, "0x1p3"),
+    (BuiltinType.DOUBLE, ""),
 ])
 def test_builtin_lexical_forms_are_strict(builtin, text):
     # the same rule decode_value applies to SOAP parameters
