@@ -9,9 +9,10 @@ to machine (a CI runner is not the machine that committed the baseline):
 - ``o1_tracing_overhead``: the *normalized* overhead per mode —
   ``overhead_us_per_call / untraced us_per_call`` — since the overhead
   *fraction* is the property the hot-path work guards.
-- ``a1_analysis_speed``: the warm-cache *speedup* — cold seconds over
-  warm seconds — since a warm run must skip the checkers, not merely run
-  them faster.  The report's own ``min_warm_speedup`` is a hard floor.
+- ``a1_analysis_speed``: ``cold_over_parse`` — analysis seconds per
+  second of loading the same tree — since the checkers must stay cheap
+  next to parsing.  The report's own ``max_cold_over_parse`` is a hard
+  ceiling.
 
 Usage::
 
@@ -27,8 +28,8 @@ from pathlib import Path
 #: a regression is a normalized tracing overhead more than 15% over baseline
 OVERHEAD_TOLERANCE = 1.15
 
-#: a regression is a warm-cache speedup more than 25% below baseline
-SPEEDUP_TOLERANCE = 1.25
+#: a regression is an analysis-to-loading ratio more than 25% over baseline
+ANALYSIS_TOLERANCE = 1.25
 
 
 def normalized_overheads(report: dict) -> dict[str, float]:
@@ -63,23 +64,23 @@ def tracing_overhead(baseline: dict, current: dict) -> tuple[list[str], str]:
 
 def analysis_speed(baseline: dict, current: dict) -> tuple[list[str], str]:
     """(regression messages, verdict when none) for the a1 benchmark."""
-    base = baseline["warm_speedup"]
-    cur = current["warm_speedup"]
+    base = baseline["cold_over_parse"]
+    cur = current["cold_over_parse"]
     failures = []
-    if base > 0 and cur < base / SPEEDUP_TOLERANCE:
+    if base > 0 and cur > base * ANALYSIS_TOLERANCE:
         failures.append(
-            f"warm-cache speedup regressed: {cur:.2f}x vs {base:.2f}x at "
-            f"baseline (tolerance: within {SPEEDUP_TOLERANCE:g}x of baseline)"
+            f"analysis regressed: {cur:.2f}x the loading time vs {base:.2f}x "
+            f"at baseline (tolerance {ANALYSIS_TOLERANCE:g}x)"
         )
-    floor = current.get("min_warm_speedup", 0)
-    if cur < floor:
+    ceiling = current.get("max_cold_over_parse", float("inf"))
+    if cur > ceiling:
         failures.append(
-            f"warm-cache speedup {cur:.2f}x is below the hard floor "
-            f"{floor:g}x — the fast path is no longer skipping the checkers"
+            f"analysis takes {cur:.2f}x the loading time, over the hard "
+            f"ceiling {ceiling:g}x"
         )
     holds = (
-        f"warm cache {cur:.2f}x faster than cold (baseline {base:.2f}x, "
-        f"tolerance {SPEEDUP_TOLERANCE:g}x)"
+        f"analysis {cur:.2f}x the loading time (baseline {base:.2f}x, "
+        f"tolerance {ANALYSIS_TOLERANCE:g}x)"
     )
     return failures, holds
 

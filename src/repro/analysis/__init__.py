@@ -23,9 +23,12 @@ convention:
 - **resource hygiene** (REP5xx) — spans, admission tickets, and journals
   are handles; acquiring one without a crash-safe release path is flagged.
 
-Run it as ``python -m repro.analysis [--baseline ...] [--format text|json]
-[paths]``.  Findings can be suppressed inline (``# repro: ignore[CODE]``)
-or captured in a committed baseline file that may only shrink (ratchet).
+Run it as ``python -m repro.analysis [--format text|json] [paths]``.
+Every run analyzes the whole tree: each module's AST is walked once into
+an index (:class:`~repro.analysis.astutil.AstIndex`) that every checker
+queries.  A finding is waived only inline, on its own line
+(``# repro: ignore[CODE]``), and a waiver that matches nothing is itself
+reported.
 """
 
 from repro.analysis.core import (

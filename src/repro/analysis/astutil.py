@@ -5,35 +5,240 @@ codebase's idioms make resolvable (module aliases, ``from`` imports, local
 ``name = ClassName(...)`` bindings, parameter annotations) and stays silent
 otherwise.  A linter that guesses produces noise; one that resolves the
 house idiom precisely produces signal.
+
+Every walk a checker makes goes through one :class:`AstIndex` per module,
+built by a single traversal of its tree.
 """
 
 from __future__ import annotations
 
 import ast
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
 
 
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted origin they were imported as.
+class AstIndex:
+    """Every node of one module's tree, bucketed by node type.
 
-    ``import time as t`` -> ``{"t": "time"}``;
-    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
-    Function-local imports count too (the codebase imports lazily a lot).
+    One depth-first traversal numbers the nodes in preorder, so the
+    subtree under any node is one contiguous range of numbers and each
+    type's bucket is a sorted list of them.  :meth:`walk` answers
+    "the nodes of these types under this node" with a bisection per type
+    instead of a fresh ``ast.walk``, and returns them in ``ast.walk``'s
+    own breadth-first order: order within a depth is preorder, so sorting
+    the range by (depth, preorder number) reproduces it.  Each answer
+    is kept: checkers ask about the same functions and expressions again
+    and again (the dataflow fixpoints re-evaluate every function on each
+    sweep).
+
+    The index also holds the per-module facts several consumers share:
+    import aliases, import origins and SOAP exposures.
     """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
+
+    def __init__(self, tree: ast.Module, module_name: str = ""):
+        self.tree = tree
+        self.module_name = module_name
+        nodes: list[ast.AST] = []
+        parents: list[int] = []
+        depths: list[int] = []
+        pre: dict[ast.AST, int] = {}
+        by_type: dict[type, list[int]] = {}
+        stack = [(tree, -1, 0)]
+        while stack:
+            node, parent, depth = stack.pop()
+            number = len(nodes)
+            nodes.append(node)
+            parents.append(parent)
+            depths.append(depth)
+            pre[node] = number
+            bucket = by_type.get(type(node))
+            if bucket is None:
+                by_type[type(node)] = [number]
+            else:
+                bucket.append(number)
+            # ``ast.iter_child_nodes``, inlined: children in field order,
+            # pushed reversed so they pop in order
+            children = []
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, ast.AST):
+                    children.append((value, number, depth + 1))
+                elif isinstance(value, list):
+                    children.extend(
+                        (item, number, depth + 1)
+                        for item in value
+                        if isinstance(item, ast.AST)
+                    )
+            children.reverse()
+            stack += children
+        sizes = [1] * len(nodes)
+        for number in range(len(nodes) - 1, 0, -1):
+            sizes[parents[number]] += sizes[number]
+        stride = len(nodes)
+        self._nodes = nodes
+        self._pre = pre
+        self._last = [number + size - 1 for number, size in enumerate(sizes)]
+        self._rank = [depth * stride + number for number, depth in enumerate(depths)]
+        self._by_type = by_type
+        self._kept: dict[tuple, tuple] = {}
+
+    def walk(self, node: ast.AST, *types: type) -> tuple:
+        """The nodes of exactly *types* that ``ast.walk(node)`` yields
+        (*node* included), in the same order."""
+        key = (node, types)
+        kept = self._kept.get(key)
+        if kept is not None:
+            return kept
+        first = self._pre[node]
+        last = self._last[first]
+        numbers: list[int] = []
+        for kind in types:
+            bucket = self._by_type.get(kind)
+            if bucket:
+                numbers += bucket[
+                    bisect_left(bucket, first):bisect_right(bucket, last)
+                ]
+        if len(numbers) > 1:
+            numbers.sort(key=self._rank.__getitem__)
+        found = tuple([self._nodes[number] for number in numbers])
+        self._kept[key] = found
+        return found
+
+    @cached_property
+    def import_aliases(self) -> dict[str, str]:
+        """Map local names to the dotted origin they were imported as.
+
+        ``import time as t`` -> ``{"t": "time"}``;
+        ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
+        Function-local imports count too (the codebase imports lazily a
+        lot); relative imports do not (see :attr:`import_origins`).
+        """
+        aliases: dict[str, str] = {}
+        for node in self.walk(self.tree, ast.Import, ast.ImportFrom):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    aliases[alias.asname or alias.name.split(".")[0]] = (
+                        alias.name if alias.asname else alias.name.split(".")[0]
+                    )
+            elif node.module and node.level == 0:
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    aliases[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
+        return aliases
+
+    @cached_property
+    def import_origins(self) -> dict[str, str]:
+        """Local name -> dotted origin, relative imports resolved.
+
+        Like :attr:`import_aliases` but aware of the module's own dotted
+        name, so ``from . import x`` and ``from ..pkg import y`` resolve
+        to absolute project paths (``from .helpers import x`` inside
+        ``fixtures.demo.svc`` targets ``fixtures.demo.helpers``).
+        """
+        name = self.module_name
+        package = name.rsplit(".", 1)[0] if "." in name else ""
+        aliases: dict[str, str] = {}
+        for node in self.walk(self.tree, ast.Import, ast.ImportFrom):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    aliases[local] = (
+                        alias.name if alias.asname else alias.name.split(".")[0]
+                    )
+                continue
+            base = node.module or ""
+            if node.level > 0:
+                anchor = package
+                for _ in range(node.level - 1):
+                    anchor = anchor.rsplit(".", 1)[0] if "." in anchor else ""
+                base = f"{anchor}.{node.module}" if node.module and anchor else (
+                    node.module or anchor
                 )
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                if not base:
+                    continue
             for alias in node.names:
                 if alias.name == "*":
                     continue
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
+                aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
+        return aliases
+
+    @cached_property
+    def exposures(self) -> list["Exposure"]:
+        """Every SOAP exposure in the module.
+
+        Recognizes the house idioms::
+
+            soap.expose(impl.method)            # impl = ClassName(...) or impl: ClassName
+            soap.expose(impl.method, "name")
+            soap.expose_object(impl)            # all public methods
+            soap.expose_object(ClassName(...))  # all public methods
+
+        Returns one :class:`Exposure` per receiver class, methods merged.
+        """
+        by_class: dict[str, Exposure] = {}
+        for func in self.walk(self.tree, ast.FunctionDef):
+            bindings = self._local_bindings(func)
+            for node in self.walk(func, ast.Call):
+                if not isinstance(node.func, ast.Attribute):
+                    continue
+                kind = node.func.attr
+                if kind not in ("expose", "expose_object") or not node.args:
+                    continue
+                target = node.args[0]
+                if kind == "expose":
+                    if not isinstance(target, ast.Attribute):
+                        continue  # module-level function exposure: no class
+                    receiver = target.value
+                    if not isinstance(receiver, ast.Name):
+                        continue
+                    cls = bindings.get(receiver.id)
+                    if cls is None:
+                        continue
+                    exp = by_class.setdefault(
+                        cls, Exposure(class_name=cls, line=node.lineno)
+                    )
+                    exp.methods.add(target.attr)
+                else:
+                    cls = None
+                    if isinstance(target, ast.Name):
+                        cls = bindings.get(target.id)
+                    elif isinstance(target, ast.Call):
+                        name = dotted_name(target.func).split(".")[-1]
+                        if name and name[0].isupper():
+                            cls = name
+                    if cls is None:
+                        continue
+                    exp = by_class.setdefault(
+                        cls, Exposure(class_name=cls, line=node.lineno)
+                    )
+                    exp.expose_all = True
+        return [by_class[name] for name in sorted(by_class)]
+
+    def _local_bindings(self, func: ast.FunctionDef) -> dict[str, str]:
+        """``name = ClassName(...)`` bindings plus annotated parameters,
+        giving a local variable -> class-name map for exposure
+        resolution."""
+        bindings: dict[str, str] = {}
+        for arg in list(func.args.args) + list(func.args.kwonlyargs):
+            if arg.annotation is not None:
+                ann = arg.annotation
+                if isinstance(ann, (ast.Name, ast.Attribute)):
+                    name = dotted_name(ann).split(".")[-1]
+                    if name:
+                        bindings[arg.arg] = name
+        for node in self.walk(func, ast.Assign):
+            if isinstance(node.value, ast.Call):
+                target_cls = dotted_name(node.value.func).split(".")[-1]
+                if not target_cls or not target_cls[0].isupper():
+                    continue
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bindings[target.id] = target_cls
+        return bindings
 
 
 def dotted_name(node: ast.AST) -> str:
@@ -114,14 +319,6 @@ def public_methods(node: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     return out
 
 
-def all_methods(node: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    return {
-        item.name: item
-        for item in node.body
-        if isinstance(item, ast.FunctionDef)
-    }
-
-
 def base_names(node: ast.ClassDef) -> list[str]:
     names = []
     for base in node.bases:
@@ -143,84 +340,3 @@ class Exposure:
     expose_all: bool = False
     line: int = 0
 
-
-def _local_bindings(func: ast.FunctionDef) -> dict[str, str]:
-    """``name = ClassName(...)`` bindings plus annotated parameters, giving
-    a local variable -> class-name map for exposure resolution."""
-    bindings: dict[str, str] = {}
-    for arg in list(func.args.args) + list(func.args.kwonlyargs):
-        if arg.annotation is not None:
-            ann = arg.annotation
-            if isinstance(ann, (ast.Name, ast.Attribute)):
-                name = dotted_name(ann).split(".")[-1]
-                if name:
-                    bindings[arg.arg] = name
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            target_cls = dotted_name(node.value.func).split(".")[-1]
-            if not target_cls or not target_cls[0].isupper():
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bindings[target.id] = target_cls
-    return bindings
-
-
-def find_exposures(tree: ast.Module) -> list[Exposure]:
-    """Every SOAP exposure in the module.
-
-    Recognizes the house idioms::
-
-        soap.expose(impl.method)            # impl = ClassName(...) or impl: ClassName
-        soap.expose(impl.method, "name")
-        soap.expose_object(impl)            # all public methods
-        soap.expose_object(ClassName(...))  # all public methods
-
-    Returns one :class:`Exposure` per receiver class, methods merged.
-    """
-    by_class: dict[str, Exposure] = {}
-    for func in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
-        bindings = _local_bindings(func)
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            if not isinstance(node.func, ast.Attribute):
-                continue
-            kind = node.func.attr
-            if kind not in ("expose", "expose_object") or not node.args:
-                continue
-            target = node.args[0]
-            if kind == "expose":
-                if not isinstance(target, ast.Attribute):
-                    continue  # module-level function exposure: no class
-                receiver = target.value
-                if not isinstance(receiver, ast.Name):
-                    continue
-                cls = bindings.get(receiver.id)
-                if cls is None:
-                    continue
-                exp = by_class.setdefault(
-                    cls, Exposure(class_name=cls, line=node.lineno)
-                )
-                exp.methods.add(target.attr)
-            else:
-                cls = None
-                if isinstance(target, ast.Name):
-                    cls = bindings.get(target.id)
-                elif isinstance(target, ast.Call):
-                    name = dotted_name(target.func).split(".")[-1]
-                    if name and name[0].isupper():
-                        cls = name
-                if cls is None:
-                    continue
-                exp = by_class.setdefault(
-                    cls, Exposure(class_name=cls, line=node.lineno)
-                )
-                exp.expose_all = True
-    return [by_class[name] for name in sorted(by_class)]
-
-
-def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node

@@ -22,9 +22,9 @@ import ast
 from typing import Iterable
 
 from repro.analysis.astutil import (
+    AstIndex,
     base_names,
     dotted_name,
-    find_exposures,
     public_methods,
     signature_of,
 )
@@ -98,7 +98,7 @@ class ContractDriftChecker(Checker):
         roots = []
         index = project.class_index()
         for module in project.parsed():
-            for exposure in find_exposures(module.tree):
+            for exposure in module.index.exposures:
                 if exposure.class_name in index:
                     roots.append(exposure)
         return roots
@@ -159,7 +159,7 @@ class ContractDriftChecker(Checker):
 
     def _check_interface_wsdl(self, project: Project) -> Iterable[Finding]:
         for module in project.parsed():
-            declared = self._declared_operations(module.tree)
+            declared = self._declared_operations(module.index)
             if not declared:
                 continue
             for node in module.tree.body:
@@ -204,18 +204,16 @@ class ContractDriftChecker(Checker):
                     )
 
     @staticmethod
-    def _declared_operations(tree: ast.Module) -> dict[str, int]:
+    def _declared_operations(index: AstIndex) -> dict[str, int]:
         """Operation name -> declared input-part count, from WsdlOperation
         literals inside ``*_interface_wsdl`` factory functions."""
         declared: dict[str, int] = {}
-        for func in tree.body:
+        for func in index.tree.body:
             if not isinstance(func, ast.FunctionDef):
                 continue
             if not func.name.endswith(INTERFACE_FACTORY_SUFFIX):
                 continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in index.walk(func, ast.Call):
                 callee = dotted_name(node.func).split(".")[-1]
                 if callee != "WsdlOperation" or len(node.args) < 3:
                     continue

@@ -13,7 +13,7 @@ import ast
 import re
 from typing import Iterable
 
-from repro.analysis.astutil import import_aliases, resolve_call_path
+from repro.analysis.astutil import resolve_call_path
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -59,6 +59,11 @@ REGISTRY_NAME_RE = re.compile(
 
 DICT_VIEWS = {"values", "items", "keys"}
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+#: the node types the checker inspects
+_SCANNED = (ast.Call, ast.For, ast.AsyncFor, *_COMPREHENSIONS)
+
 
 @register_checker
 class DeterminismChecker(Checker):
@@ -79,13 +84,14 @@ class DeterminismChecker(Checker):
             yield from self._check_module(module)
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
+        index = module.index
+        aliases = index.import_aliases
+        for node in index.walk(module.tree, *_SCANNED):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, aliases)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 yield from self._check_iteration(module, node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            elif isinstance(node, _COMPREHENSIONS):
                 for comp in node.generators:
                     yield from self._check_iteration(module, comp.iter)
 

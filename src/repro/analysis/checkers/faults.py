@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import dotted_name, import_aliases
+from repro.analysis.astutil import dotted_name
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -58,9 +58,11 @@ def rep201_closure(project: Project) -> set[tuple[str, str, str]]:
     closure REP201 covers.  REP901 reports exactly the complement, so
     both rules derive it from the same graph walk."""
     calls = project.graph().calls
-    roots = calls.dispatch_roots(project)
     reach = reachable(
-        calls, roots, follow_guarded=True, edge_filter=_same_module_filter
+        calls,
+        calls.dispatch_roots,
+        follow_guarded=True,
+        edge_filter=_same_module_filter,
     )
     return {
         (calls.nodes[node_id].module, calls.nodes[node_id].cls,
@@ -132,9 +134,11 @@ class FaultTaxonomyChecker(Checker):
             for m in project.parsed()
             if project.graph().modules.modules.get(m.module_name) == m.rel
         }
-        roots = calls.dispatch_roots(project)
         reach = reachable(
-            calls, roots, follow_guarded=True, edge_filter=_same_module_filter
+            calls,
+            calls.dispatch_roots,
+            follow_guarded=True,
+            edge_filter=_same_module_filter,
         )
         for node_id in sorted(reach):
             node = calls.nodes[node_id]
@@ -155,7 +159,7 @@ class FaultTaxonomyChecker(Checker):
         portal errors even when the class is defined outside the run."""
         return {
             local
-            for local, origin in import_aliases(module.tree).items()
+            for local, origin in module.index.import_aliases.items()
             if origin.startswith(FAULT_MODULE + ".")
         }
 
@@ -168,9 +172,7 @@ class FaultTaxonomyChecker(Checker):
         fault_imports: set[str],
     ) -> Iterable[Finding]:
         symbol = f"{cls_name}.{func.name}" if cls_name else func.name
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Raise):
-                continue
+        for node in module.index.walk(func, ast.Raise):
             verdict = self._raise_target(
                 node, portal_classes | fault_imports
             )

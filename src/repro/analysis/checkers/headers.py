@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import dotted_name
+from repro.analysis.astutil import AstIndex, dotted_name
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -82,17 +82,17 @@ class HeaderDisciplineChecker(Checker):
             if not mod or modules.modules.get(mod) != module.rel:
                 continue
             imports = symbols.imports.get(mod, {})
-            for token in self._tokens_passed_to(module.tree, REGISTER_FUNCS):
+            for token in self._tokens_passed_to(module.index, REGISTER_FUNCS):
                 key = self._resolve_token(mod, token, decls, imports, modules)
                 if key is not None:
                     registered.add(key)
             for token in self._tokens_passed_to(
-                module.tree, ELEMENT_CONSTRUCTORS
+                module.index, ELEMENT_CONSTRUCTORS
             ):
                 key = self._resolve_token(mod, token, decls, imports, modules)
                 if key is not None:
                     encoded.add(key)
-            for token in self._tokens_compared(module.tree):
+            for token in self._tokens_compared(module.index):
                 key = self._resolve_token(mod, token, decls, imports, modules)
                 if key is not None:
                     consumed.add(key)
@@ -202,12 +202,10 @@ class HeaderDisciplineChecker(Checker):
         return out
 
     @staticmethod
-    def _tokens_passed_to(tree: ast.Module, funcs: set[str]) -> set[str]:
+    def _tokens_passed_to(index: AstIndex, funcs: set[str]) -> set[str]:
         """Dotted tokens appearing as arguments to calls of *funcs*."""
         found: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in index.walk(index.tree, ast.Call):
             callee = dotted_name(node.func).split(".")[-1]
             if callee not in funcs:
                 continue
@@ -218,13 +216,11 @@ class HeaderDisciplineChecker(Checker):
         return found
 
     @staticmethod
-    def _tokens_compared(tree: ast.Module) -> set[str]:
+    def _tokens_compared(index: AstIndex) -> set[str]:
         """Dotted tokens on either side of an ``==``/``!=`` comparison
         (the decode idiom: ``entry.tag == X_HEADER``)."""
         found: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        for node in index.walk(index.tree, ast.Compare):
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
                 continue
             for side in [node.left, *node.comparators]:

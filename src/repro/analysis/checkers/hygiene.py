@@ -25,7 +25,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.astutil import dotted_name, iter_functions
+from repro.analysis.astutil import AstIndex, dotted_name
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -81,7 +81,7 @@ class ResourceHygieneChecker(Checker):
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.parsed():
-            for func in iter_functions(module.tree):
+            for func in module.index.walk(module.tree, ast.FunctionDef):
                 yield from self._check_function(module, func)
 
     def _check_function(
@@ -89,7 +89,7 @@ class ResourceHygieneChecker(Checker):
     ) -> Iterable[Finding]:
         acquired: dict[str, _Acquired] = {}
         dropped: list[tuple[ast.AST, str]] = []
-        self._visit(func.body, "normal", acquired, dropped)
+        self._visit(module.index, func.body, "normal", acquired, dropped)
 
         for node, kind in dropped:
             yield module.finding(
@@ -122,6 +122,7 @@ class ResourceHygieneChecker(Checker):
 
     def _visit(
         self,
+        index: AstIndex,
         stmts: list[ast.stmt],
         context: str,
         acquired: dict[str, _Acquired],
@@ -131,27 +132,28 @@ class ResourceHygieneChecker(Checker):
             if isinstance(stmt, _NESTED_SCOPES):
                 continue  # separate scope, checked on its own
             if isinstance(stmt, ast.Try):
-                self._visit(stmt.body, context, acquired, dropped)
+                self._visit(index, stmt.body, context, acquired, dropped)
                 for handler in stmt.handlers:
-                    self._visit(handler.body, "except", acquired, dropped)
-                self._visit(stmt.orelse, context, acquired, dropped)
-                self._visit(stmt.finalbody, "finally", acquired, dropped)
+                    self._visit(index, handler.body, "except", acquired, dropped)
+                self._visit(index, stmt.orelse, context, acquired, dropped)
+                self._visit(index, stmt.finalbody, "finally", acquired, dropped)
             elif isinstance(stmt, (ast.If, ast.While)):
-                self._scan_expr(stmt.test, context, acquired)
-                self._visit(stmt.body, context, acquired, dropped)
-                self._visit(stmt.orelse, context, acquired, dropped)
+                self._scan_expr(index, stmt.test, context, acquired)
+                self._visit(index, stmt.body, context, acquired, dropped)
+                self._visit(index, stmt.orelse, context, acquired, dropped)
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan_expr(stmt.iter, context, acquired)
-                self._visit(stmt.body, context, acquired, dropped)
-                self._visit(stmt.orelse, context, acquired, dropped)
+                self._scan_expr(index, stmt.iter, context, acquired)
+                self._visit(index, stmt.body, context, acquired, dropped)
+                self._visit(index, stmt.orelse, context, acquired, dropped)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 # handles acquired as context managers are safe by construction
-                self._visit(stmt.body, context, acquired, dropped)
+                self._visit(index, stmt.body, context, acquired, dropped)
             else:
-                self._scan_simple(stmt, context, acquired, dropped)
+                self._scan_simple(index, stmt, context, acquired, dropped)
 
     def _scan_simple(
         self,
+        index: AstIndex,
         stmt: ast.stmt,
         context: str,
         acquired: dict[str, _Acquired],
@@ -198,19 +200,19 @@ class ResourceHygieneChecker(Checker):
             if isinstance(value, ast.Name) and value.id in acquired:
                 acquired[value.id].transferred = True
                 return
-        self._scan_expr(stmt, context, acquired)
+        self._scan_expr(index, stmt, context, acquired)
 
     @staticmethod
     def _scan_expr(
-        node: ast.AST, context: str, acquired: dict[str, _Acquired]
+        index: AstIndex,
+        node: ast.AST,
+        context: str,
+        acquired: dict[str, _Acquired],
     ) -> None:
         """Record release calls (``<recv>.<release_attr>(var, ...)`` or
         ``var.<release_attr>()``) appearing anywhere under *node*."""
-        for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-            ):
+        for sub in index.walk(node, ast.Call):
+            if not isinstance(sub.func, ast.Attribute):
                 continue
             candidates = [a for a in sub.args if isinstance(a, ast.Name)]
             receiver = sub.func.value

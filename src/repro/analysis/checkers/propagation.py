@@ -122,8 +122,12 @@ class PropagationChecker(Checker):
             for m in project.parsed()
             if graph.modules.modules.get(m.module_name) == m.rel
         }
-        roots = calls.dispatch_roots(project)
-        full = reachable(calls, roots, follow_guarded=True, edge_filter=_full_filter)
+        full = reachable(
+            calls,
+            calls.dispatch_roots,
+            follow_guarded=True,
+            edge_filter=_full_filter,
+        )
         covered = rep201_closure(project)
         portal = self._portal_classes(graph)
 
@@ -153,9 +157,7 @@ class PropagationChecker(Checker):
                 continue
             func = calls.funcs[node_id]
             symbol = f"{node.cls}.{node.name}" if node.cls else node.name
-            for raise_node in (
-                n for n in ast.walk(func) if isinstance(n, ast.Raise)
-            ):
+            for raise_node in calls.index_of(node_id).walk(func, ast.Raise):
                 verdict = self._raise_verdict(
                     calls.symbols, node.module, raise_node, portal, portal_names
                 )
@@ -215,8 +217,9 @@ class PropagationChecker(Checker):
             func = calls.funcs[node_id]
             symbol = f"{node.cls}.{node.name}" if node.cls else node.name
             exempt = node.module.startswith(EGRESS_EXEMPT_PREFIXES)
-            threads_deadline = _references_any(func, DEADLINE_THREADERS)
-            for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+            index = calls.index_of(node_id)
+            threads_deadline = _references_any(index, func, DEADLINE_THREADERS)
+            for call in index.walk(func, ast.Call):
                 if self._is_untraced_client(symbols, node.module, call):
                     yield module.finding(
                         "REP902",
@@ -276,17 +279,15 @@ class PropagationChecker(Checker):
         ):
             owner = calls._attr_classes(node.module, node.cls).get(receiver.attr)
         elif isinstance(receiver, ast.Name):
-            owner = calls._local_classes(
-                node.module, calls.funcs[node.id]
-            ).get(receiver.id)
+            owner = calls._local_classes(node.id).get(receiver.id)
         if owner is not None:
             return owner.name == "HttpClient"
         tail = dotted_name(receiver).split(".")[-1]
         return tail in {"http", "_http"}
 
 
-def _references_any(func, names: set[str]) -> bool:
-    for node in ast.walk(func):
+def _references_any(index, func, names: set[str]) -> bool:
+    for node in index.walk(func, ast.Name, ast.Attribute):
         if isinstance(node, ast.Name) and node.id in names:
             return True
         if isinstance(node, ast.Attribute) and node.attr in names:
@@ -300,11 +301,13 @@ def _edge_summary(calls, node_id: str, call: ast.Call, summaries):
     Edges carry line numbers, not columns, so two calls on one line are
     ambiguous by line alone — prefer the edge whose callee's function
     name matches the call target, fall back to the first line match."""
-    target = dotted_name(call.func).split(".")[-1]
+    target = None
     fallback = None
     for edge in calls.edges_from.get(node_id, []):
         if edge.line != call.lineno or edge.kind == "ctor":
             continue
+        if target is None:
+            target = dotted_name(call.func).split(".")[-1]
         callee_name = edge.callee.split(":", 1)[-1].split(".")[-1]
         if callee_name == target:
             return summaries.get(edge.callee)
@@ -370,6 +373,7 @@ class _TaintAnalysis:
 
     def __init__(self, calls):
         self.calls = calls
+        self._flows: dict[str, list[ast.stmt]] = {}
         self.summaries = Dataflow(
             calls, self._transfer, initial=lambda _n: _TaintSummary()
         ).run()
@@ -413,6 +417,7 @@ class _TaintAnalysis:
         two keep the pass linear and sufficient."""
         node = self.calls.nodes[node_id]
         func = self.calls.funcs[node_id]
+        index = self.calls.index_of(node_id)
         aliases = self.calls.symbols.imports.get(node.module, {})
         params = self._params(func)
         env: dict[str, set[str]] = {p: {p} for p in params}
@@ -420,7 +425,7 @@ class _TaintAnalysis:
 
         def taint_of(expr) -> set[str]:
             labels: set[str] = set()
-            for sub in ast.walk(expr):
+            for sub in index.walk(expr, ast.Name, ast.Call):
                 if isinstance(sub, ast.Name) and sub.id in env:
                     labels |= env[sub.id]
                 elif isinstance(sub, ast.Call):
@@ -432,29 +437,50 @@ class _TaintAnalysis:
                             labels.add(_SRC)
             return labels
 
-        def scan(stmts) -> None:
-            for stmt in stmts:
-                if isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
+        flow = self._flow(node_id)
+        for _sweep in range(2):
+            for stmt in flow:
                 if isinstance(stmt, ast.Assign):
                     labels = taint_of(stmt.value)
                     for target in stmt.targets:
                         if isinstance(target, ast.Name):
                             env[target.id] = env.get(target.id, set()) | labels
-                elif (
-                    isinstance(stmt, (ast.AnnAssign, ast.AugAssign))
-                    and stmt.value is not None
-                    and isinstance(stmt.target, ast.Name)
-                ):
+                elif isinstance(stmt, ast.Return):
+                    returns.update(taint_of(stmt.value))
+                else:
                     env[stmt.target.id] = env.get(
                         stmt.target.id, set()
                     ) | taint_of(stmt.value)
-                elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                    returns.update(taint_of(stmt.value))
+        return taint_of, returns
+
+    def _flow(self, node_id: str) -> list[ast.stmt]:
+        """The statements that move taint — assignments to names and
+        valued returns, nested ``def``/``class`` bodies excluded — in
+        source order (computed once per function)."""
+        flow = self._flows.get(node_id)
+        if flow is not None:
+            return flow
+        flow = []
+
+        def collect(stmts) -> None:
+            for stmt in stmts:
+                if isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    continue
+                moves = (
+                    isinstance(stmt, ast.Assign)
+                    or (isinstance(stmt, ast.Return) and stmt.value is not None)
+                    or (
+                        isinstance(stmt, (ast.AnnAssign, ast.AugAssign))
+                        and stmt.value is not None
+                        and isinstance(stmt.target, ast.Name)
+                    )
+                )
+                if moves:
+                    flow.append(stmt)
                 else:
-                    scan(
+                    collect(
                         [
                             child
                             for child in ast.iter_child_nodes(stmt)
@@ -462,9 +488,9 @@ class _TaintAnalysis:
                         ]
                     )
 
-        scan(func.body)
-        scan(func.body)
-        return taint_of, returns
+        collect(self.calls.funcs[node_id].body)
+        self._flows[node_id] = flow
+        return flow
 
     def _transfer(self, node_id: str, summaries) -> _TaintSummary:
         taint_of, returns = self._taint_env(node_id, summaries)
@@ -472,7 +498,7 @@ class _TaintAnalysis:
         func = self.calls.funcs[node_id]
         params = self._params(func)
         param_sinks: set[int] = set()
-        for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+        for call in self.calls.index_of(node_id).walk(func, ast.Call):
             sink = _sink_of(call, self.calls.symbols, node.module)
             callee = self._callee_summary(node_id, call, summaries)
             indirect = (
@@ -498,7 +524,7 @@ class _TaintAnalysis:
         taint_of, _returns = self._taint_env(node_id, self.summaries)
         node = self.calls.nodes[node_id]
         func = self.calls.funcs[node_id]
-        for call in (n for n in ast.walk(func) if isinstance(n, ast.Call)):
+        for call in self.calls.index_of(node_id).walk(func, ast.Call):
             exprs = list(call.args) + [kw.value for kw in call.keywords]
             sink = _sink_of(call, self.calls.symbols, node.module)
             if sink is not None:
@@ -545,6 +571,8 @@ class _OwnershipAnalysis:
 
     def __init__(self, calls):
         self.calls = calls
+        self._contexts: dict[str, dict[ast.Call, set[str]]] = {}
+        self._releases: dict[str, frozenset] = {}
         self.summaries = Dataflow(
             calls, self._transfer, initial=lambda _n: _OwnershipSummary()
         ).run()
@@ -574,19 +602,32 @@ class _OwnershipAnalysis:
             return callee.returns_kind
         return None
 
+    def _call_contexts(self, node_id: str) -> dict[ast.Call, set[str]]:
+        """Every call in the function with the contexts it runs in
+        (computed once per function)."""
+        contexts = self._contexts.get(node_id)
+        if contexts is None:
+            contexts = _call_contexts(
+                self.calls.index_of(node_id), self.calls.funcs[node_id]
+            )
+            self._contexts[node_id] = contexts
+        return contexts
+
     def _transfer(self, node_id: str, summaries) -> _OwnershipSummary:
         func = self.calls.funcs[node_id]
-        params = self._params(func)
         returns_kind = ""
         acquired_vars: dict[str, str] = {}
-        for stmt in ast.walk(func):
-            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
+        index = self.calls.index_of(node_id)
+        for stmt in index.walk(func, ast.Assign, ast.Return):
+            if isinstance(stmt, ast.Assign):
+                if not isinstance(stmt.value, ast.Call):
+                    continue
                 kind = self._acquire_kind(node_id, stmt.value, summaries)
                 if kind is not None:
                     for target in stmt.targets:
                         if isinstance(target, ast.Name):
                             acquired_vars[target.id] = kind
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
+            elif stmt.value is not None:
                 if isinstance(stmt.value, ast.Call):
                     kind = self._acquire_kind(node_id, stmt.value, summaries)
                     if kind:
@@ -595,11 +636,15 @@ class _OwnershipAnalysis:
                     kind = acquired_vars.get(stmt.value.id)
                     if kind:
                         returns_kind = kind
-        releases = frozenset(
-            index
-            for index, param in enumerate(params)
-            if _crash_safe(_release_contexts(func.body, param, "normal"))
-        )
+        releases = self._releases.get(node_id)
+        if releases is None:
+            released = _release_contexts(self._call_contexts(node_id))
+            releases = frozenset(
+                number
+                for number, param in enumerate(self._params(func))
+                if _crash_safe(released.get(param, set()))
+            )
+            self._releases[node_id] = releases
         return _OwnershipSummary(
             returns_kind=returns_kind, releases_params=releases
         )
@@ -607,13 +652,13 @@ class _OwnershipAnalysis:
     def _check_caller(self, node_id: str, module, checker) -> Iterable[Finding]:
         node = self.calls.nodes[node_id]
         func = self.calls.funcs[node_id]
+        index = self.calls.index_of(node_id)
         symbol = f"{node.cls}.{node.name}" if node.cls else node.name
         # handles acquired *via calls* — REP501 owns direct acquires
         acquired: dict[str, tuple[str, str, ast.stmt]] = {}
-        for stmt in ast.walk(func):
+        for stmt in index.walk(func, ast.Assign):
             if not (
-                isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.Call)
+                isinstance(stmt.value, ast.Call)
                 and len(stmt.targets) == 1
                 and isinstance(stmt.targets[0], ast.Name)
             ):
@@ -630,11 +675,16 @@ class _OwnershipAnalysis:
                         stmt,
                     ),
                 )
+        if not acquired:
+            return
+        contexts_of = self._call_contexts(node_id)
+        released = _release_contexts(contexts_of)
         for var, (kind, origin, stmt) in sorted(acquired.items()):
-            if self._is_transferred(func, var):
+            if self._is_transferred(index, func, var):
                 continue
-            contexts = _release_contexts(func.body, var, "normal")
-            contexts |= self._delegated_release_contexts(node_id, func, var)
+            contexts = released.get(var, set()) | self._delegated_release_contexts(
+                node_id, contexts_of, var
+            )
             if _crash_safe(contexts):
                 continue
             yield module.finding(
@@ -650,8 +700,10 @@ class _OwnershipAnalysis:
             )
 
     @staticmethod
-    def _is_transferred(func, var: str) -> bool:
-        for stmt in ast.walk(func):
+    def _is_transferred(index, func, var: str) -> bool:
+        for stmt in index.walk(
+            func, ast.Return, ast.Assign, ast.Yield, ast.YieldFrom
+        ):
             if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Name):
                 if stmt.value.id == var:
                     return True
@@ -668,42 +720,23 @@ class _OwnershipAnalysis:
                     return True
         return False
 
-    def _delegated_release_contexts(self, node_id, func, var: str) -> set[str]:
+    def _delegated_release_contexts(
+        self, node_id, contexts_of: dict[ast.Call, set[str]], var: str
+    ) -> set[str]:
         """Contexts in which *var* is passed to a callee that releases
         the corresponding parameter crash-safely."""
         contexts: set[str] = set()
-
-        def visit(stmts, context) -> None:
-            for stmt in stmts:
-                if isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for call, call_contexts in contexts_of.items():
+            callee = self._callee_summary(node_id, call, self.summaries)
+            if callee is None or not callee.releases_params:
+                continue
+            for number, arg in enumerate(call.args):
+                if (
+                    isinstance(arg, ast.Name)
+                    and arg.id == var
+                    and number in callee.releases_params
                 ):
-                    continue
-                if isinstance(stmt, ast.Try):
-                    visit(stmt.body, context)
-                    for handler in stmt.handlers:
-                        visit(handler.body, "except")
-                    visit(stmt.orelse, context)
-                    visit(stmt.finalbody, "finally")
-                    continue
-                for call in (
-                    n for n in ast.walk(stmt) if isinstance(n, ast.Call)
-                ):
-                    callee = self._callee_summary(node_id, call, self.summaries)
-                    if callee is None or not callee.releases_params:
-                        continue
-                    for index, arg in enumerate(call.args):
-                        if (
-                            isinstance(arg, ast.Name)
-                            and arg.id == var
-                            and index in callee.releases_params
-                        ):
-                            contexts.add(context)
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, ast.stmt):
-                        visit([child], context)
-
-        visit(func.body, "normal")
+                    contexts |= call_contexts
         return contexts
 
 
@@ -711,43 +744,51 @@ def _crash_safe(contexts: set[str]) -> bool:
     return "finally" in contexts or {"except", "normal"} <= contexts
 
 
-def _release_contexts(stmts, var: str, context: str) -> set[str]:
-    """Contexts (normal/except/finally) in which *var* is released via
-    ``<recv>.end(var)`` / ``<recv>.release(var)`` / ``var.release()``."""
-    contexts: set[str] = set()
-    release_attrs = set(ACQUIRE_RELEASE.values())
+def _call_contexts(index, func) -> dict[ast.Call, set[str]]:
+    """Each call in *func* -> the contexts (normal/except/finally) it runs
+    in: the contexts of every enclosing statement, where a ``try``'s
+    handlers run in ``except`` and its ``finally`` in ``finally``.
+    Nested ``def``/``class`` bodies are not the function's own code."""
+    contexts: dict[ast.Call, set[str]] = {}
 
-    def scan_expr(node, ctx) -> None:
-        for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in release_attrs
-            ):
-                continue
-            candidates = [a for a in sub.args if isinstance(a, ast.Name)]
-            if isinstance(sub.func.value, ast.Name):
-                candidates.append(sub.func.value)
-            if any(c.id == var for c in candidates):
-                contexts.add(ctx)
-
-    def visit(body, ctx) -> None:
+    def visit(body, context) -> None:
         for stmt in body:
             if isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 continue
             if isinstance(stmt, ast.Try):
-                visit(stmt.body, ctx)
+                visit(stmt.body, context)
                 for handler in stmt.handlers:
                     visit(handler.body, "except")
-                visit(stmt.orelse, ctx)
+                visit(stmt.orelse, context)
                 visit(stmt.finalbody, "finally")
                 continue
-            scan_expr(stmt, ctx)
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.stmt):
-                    visit([child], ctx)
+            for call in index.walk(stmt, ast.Call):
+                contexts.setdefault(call, set()).add(context)
+            visit(
+                [c for c in ast.iter_child_nodes(stmt) if isinstance(c, ast.stmt)],
+                context,
+            )
 
-    visit(stmts, context)
+    visit(func.body, "normal")
     return contexts
+
+
+def _release_contexts(contexts_of: dict[ast.Call, set[str]]) -> dict[str, set[str]]:
+    """Variable -> contexts in which it is released via
+    ``<recv>.end(var)`` / ``<recv>.release(var)`` / ``var.release()``."""
+    released: dict[str, set[str]] = {}
+    release_attrs = set(ACQUIRE_RELEASE.values())
+    for call, contexts in contexts_of.items():
+        if not (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in release_attrs
+        ):
+            continue
+        candidates = [a.id for a in call.args if isinstance(a, ast.Name)]
+        if isinstance(call.func.value, ast.Name):
+            candidates.append(call.func.value.id)
+        for var in candidates:
+            released.setdefault(var, set()).update(contexts)
+    return released

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import import_aliases, resolve_call_path
+from repro.analysis.astutil import resolve_call_path
 from repro.analysis.core import Checker, Finding, Project, register_checker
 
 #: the objective dataclass REP702 audits construction of
@@ -38,10 +38,8 @@ class SloSamplingChecker(Checker):
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.parsed():
-            aliases = import_aliases(module.tree)
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            aliases = module.index.import_aliases
+            for node in module.index.walk(module.tree, ast.Call):
                 path = resolve_call_path(node.func, aliases)
                 if not path:
                     continue

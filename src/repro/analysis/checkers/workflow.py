@@ -124,19 +124,20 @@ class WorkflowChecker(Checker):
     def _check_sealed_mutations(
         self, module: SourceModule
     ) -> Iterable[Finding]:
-        for scope in ast.walk(module.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            sealed = self._sealed_names(scope)
+        index = module.index
+        for scope in index.walk(
+            module.tree, ast.FunctionDef, ast.AsyncFunctionDef
+        ):
+            sealed = self._sealed_names(index, scope)
             if sealed:
                 yield from self._mutations(module, scope, sealed)
 
     @staticmethod
-    def _sealed_names(scope: ast.AST) -> set[str]:
+    def _sealed_names(index, scope: ast.AST) -> set[str]:
         """Names in *scope* bound from a record-accessor call."""
         sealed: set[str] = set()
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+        for node in index.walk(scope, ast.Assign):
+            if len(node.targets) != 1:
                 continue
             target = node.targets[0]
             value = node.value
@@ -152,7 +153,9 @@ class WorkflowChecker(Checker):
     def _mutations(
         self, module: SourceModule, scope: ast.AST, sealed: set[str]
     ) -> Iterable[Finding]:
-        for node in ast.walk(scope):
+        for node in module.index.walk(
+            scope, ast.Assign, ast.AugAssign, ast.Delete, ast.Call
+        ):
             target = None
             how = ""
             if isinstance(node, (ast.Assign, ast.AugAssign)):

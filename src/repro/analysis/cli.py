@@ -6,18 +6,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, apply_baseline, write_baseline
 from repro.analysis.core import all_checkers
 from repro.analysis.reporting import (
     exit_code_for,
     list_checkers_text,
     render_json,
     render_text,
-    split_without_baseline,
 )
-from repro.analysis.runner import analyze_paths_cached
-
-DEFAULT_BASELINE = "analysis-baseline.json"
+from repro.analysis.runner import analyze_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,25 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         metavar="FILE",
-        help="also write the report to FILE (same format as --format)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "capture current findings as the baseline and exit 0 "
-            "(ratchet: fixed findings drop out, reasons are preserved)"
-        ),
+        help="also write the JSON report to FILE, whatever --format says",
     )
     parser.add_argument(
         "--select",
@@ -77,30 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-checkers",
         action="store_true",
         help="print the checker catalog and exit",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental cache (neither read nor written)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="incremental cache directory (default: .analysis-cache)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "fast CI pre-step: re-analyze only files whose content or "
-            "import closure changed since the cached run, merging cached "
-            "findings for the rest (never writes the cache)"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache hit/miss statistics to stderr",
     )
     return parser
 
@@ -136,80 +90,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    result, cache_stats = analyze_paths_cached(
-        paths,
-        select=_codes(args.select),
-        ignore=_codes(args.ignore),
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        use_cache=not args.no_cache,
-        changed_only=args.changed_only,
+    result = analyze_paths(
+        paths, select=_codes(args.select), ignore=_codes(args.ignore)
     )
-    if args.stats:
-        if cache_stats.enabled:
-            for line in cache_stats.lines():
-                print(line, file=sys.stderr)
-        else:
-            print("cache: disabled (--no-cache)", file=sys.stderr)
-
-    baseline: Baseline | None = None
-    if not args.no_baseline:
-        baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-        if baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-        elif args.baseline and not args.write_baseline:
-            print(
-                f"error: baseline file {baseline_path} does not exist "
-                "(use --write-baseline to create it)",
-                file=sys.stderr,
-            )
-            return 2
-
-    if args.write_baseline:
-        target = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-        reasons = {
-            e.get("fingerprint", ""): e["reason"]
-            for e in (baseline.entries if baseline else [])
-            if e.get("reason")
-        }
-        written = write_baseline(result.findings, target, reasons=reasons)
-        print(
-            f"baseline written: {len(written)} entr(ies) -> {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    split = (
-        apply_baseline(result.findings, baseline)
-        if baseline is not None
-        else split_without_baseline(result.findings)
+    code = exit_code_for(result)
+    as_json = render_json(
+        result, paths=[str(p) for p in paths], exit_code=code
     )
-    code = exit_code_for(split)
-
-    if args.format == "json":
-        rendered = render_json(
-            result,
-            split,
-            baseline,
-            paths=[str(p) for p in paths],
-            exit_code=code,
-        )
-    else:
-        rendered = render_text(result, split, baseline) + "\n"
-
-    sys.stdout.write(rendered)
+    sys.stdout.write(as_json if args.format == "json" else render_text(result) + "\n")
     if args.output:
-        out = Path(args.output)
-        if args.format == "json":
-            out.write_text(rendered, encoding="utf-8")
-        else:
-            out.write_text(
-                render_json(
-                    result,
-                    split,
-                    baseline,
-                    paths=[str(p) for p in paths],
-                    exit_code=code,
-                ),
-                encoding="utf-8",
-            )
+        Path(args.output).write_text(as_json, encoding="utf-8")
     return code

@@ -13,8 +13,11 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from repro.analysis.astutil import AstIndex
 
 #: framework-level codes (emitted by the runner, not by checkers)
 UNUSED_SUPPRESSION = "REP001"
@@ -49,9 +52,10 @@ class Finding:
     symbol: str = ""  # enclosing class/function, when known
 
     def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline: moving a finding
-        within its file does not churn the baseline, changing its message
-        (or fixing it) does."""
+        """Line-independent identity, reported with every finding: the
+        same finding keeps its fingerprint when its line moves, so two
+        reports can be matched finding by finding; a changed message
+        makes it a different finding."""
         raw = f"{self.path}::{self.code}::{self.message}"
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
@@ -84,9 +88,12 @@ def parse_suppressions(text: str) -> dict[int, set[str]]:
 
     Only genuine ``#`` comments count — the marker appearing inside a
     string or docstring (as it does in this very module) is prose, not a
-    suppression, so the scan tokenizes rather than greps.
+    suppression, so the scan tokenizes rather than greps.  Tokenizing is
+    slow, so only text that holds the marker's ``repro:`` is tokenized.
     """
     out: dict[int, set[str]] = {}
+    if "repro:" not in text:
+        return out
     try:
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         comments = [
@@ -134,6 +141,12 @@ class SourceModule:
             suppressions=parse_suppressions(text),
             module_name=_module_name(rel),
         )
+
+    @cached_property
+    def index(self) -> AstIndex:
+        """The one walk of :attr:`tree` every checker queries (parsed
+        modules only)."""
+        return AstIndex(self.tree, self.module_name)
 
     def finding(
         self,
@@ -201,9 +214,8 @@ class Project:
         if self._class_index is None:
             index: dict[str, tuple[SourceModule, ast.ClassDef]] = {}
             for module in self.parsed():
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.ClassDef):
-                        index.setdefault(node.name, (module, node))
+                for node in module.index.walk(module.tree, ast.ClassDef):
+                    index.setdefault(node.name, (module, node))
             self._class_index = index
         return self._class_index
 

@@ -9,9 +9,8 @@ structures a whole-program rule needs, all built from the same parsed
 :class:`~repro.analysis.core.Project` (still pure stdlib, still never
 importing the code under analysis):
 
-- :mod:`~repro.analysis.graph.modgraph` — the module/import graph
-  (which project module imports which), used both for resolution and
-  for incremental-cache invalidation;
+- :mod:`~repro.analysis.graph.modgraph` — the project's modules by
+  dotted name, which resolution needs to tell a module from a symbol;
 - :mod:`~repro.analysis.graph.symbols` — a project symbol table that
   resolves names through import aliases, re-exports, and module-level
   assignment aliases to their defining module;
@@ -24,7 +23,7 @@ importing the code under analysis):
 
 Everything iterates in sorted order: two runs over the same tree build
 byte-identical graphs, which is what keeps whole-program reports
-reproducible and cacheable.
+reproducible.
 """
 
 from repro.analysis.graph.callgraph import CallEdge, CallGraph, FunctionNode

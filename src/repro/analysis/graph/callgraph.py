@@ -29,8 +29,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.astutil import find_exposures
-from repro.analysis.graph.symbols import Symbol, SymbolTable, _dotted
+from repro.analysis.astutil import AstIndex, dotted_name
+from repro.analysis.graph.symbols import Symbol, SymbolTable
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,13 @@ class CallGraph:
     #: node id -> its FunctionDef (kept off the frozen node for hashing)
     funcs: dict[str, ast.FunctionDef] = field(default_factory=dict)
     edges_from: dict[str, list[CallEdge]] = field(default_factory=dict)
+    #: ids of every SOAP-dispatchable method: the roots the REP2xx/REP9xx
+    #: reachability passes grow from
+    dispatch_roots: list[str] = field(default_factory=list)
     _attr_cache: dict[tuple[str, str], dict[str, Symbol]] = field(
         default_factory=dict
     )
+    _locals_cache: dict[str, dict[str, Symbol]] = field(default_factory=dict)
 
     # -- construction ----------------------------------------------------------
 
@@ -88,7 +92,12 @@ class CallGraph:
                             graph._add_node(mod, stmt.name, item, module.rel)
         for node_id in sorted(graph.nodes):
             graph.edges_from[node_id] = graph._resolve_edges(node_id)
+        graph.dispatch_roots = graph._dispatch_roots(project)
         return graph
+
+    def index_of(self, node_id: str) -> AstIndex:
+        """The AST index of the module defining node *node_id*."""
+        return self.symbols.indexes[self.nodes[node_id].module]
 
     def _add_node(self, module: str, cls: str, func, rel: str) -> None:
         node = FunctionNode(module=module, cls=cls, name=func.name, rel=rel)
@@ -110,7 +119,8 @@ class CallGraph:
             self._attr_cache[(module, cls)] = {}
             return {}
         out: dict[str, Symbol] = {}
-        for sub in ast.walk(node):
+        index = self.symbols.indexes[module]
+        for sub in index.walk(node, ast.Assign, ast.AnnAssign):
             target = value = None
             if isinstance(sub, ast.Assign) and len(sub.targets) >= 1:
                 target, value = sub.targets[0], sub.value
@@ -133,23 +143,28 @@ class CallGraph:
         self._attr_cache[(module, cls)] = out
         return out
 
-    def _local_classes(self, module: str, func) -> dict[str, Symbol]:
-        """Local variable -> class symbol: annotated parameters plus
-        ``x = Cls(...)`` bindings."""
+    def _local_classes(self, node_id: str) -> dict[str, Symbol]:
+        """Local variable -> class symbol in node *node_id*: annotated
+        parameters plus ``x = Cls(...)`` bindings."""
+        cached = self._locals_cache.get(node_id)
+        if cached is not None:
+            return cached
+        module = self.nodes[node_id].module
+        func = self.funcs[node_id]
         out: dict[str, Symbol] = {}
         for arg in list(func.args.args) + list(func.args.kwonlyargs):
             if arg.annotation is not None:
                 symbol = self._class_of_annotation(module, arg.annotation)
                 if symbol is not None:
                     out.setdefault(arg.arg, symbol)
-        for sub in ast.walk(func):
-            if isinstance(sub, ast.Assign):
-                symbol = self._class_of_value(module, sub.value)
-                if symbol is None:
-                    continue
-                for target in sub.targets:
-                    if isinstance(target, ast.Name):
-                        out[target.id] = symbol
+        for sub in self.index_of(node_id).walk(func, ast.Assign):
+            symbol = self._class_of_value(module, sub.value)
+            if symbol is None:
+                continue
+            for target in sub.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = symbol
+        self._locals_cache[node_id] = out
         return out
 
     def _class_of_value(self, module: str, value) -> Symbol | None:
@@ -160,7 +175,7 @@ class CallGraph:
             )
         if not isinstance(value, ast.Call):
             return None
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         if not dotted:
             return None
         symbol = self.symbols.resolve(module, dotted)
@@ -177,7 +192,7 @@ class CallGraph:
         if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
             symbol = self.symbols.resolve(module, ann.value.split("|")[0].strip())
         else:
-            dotted = _dotted(ann)
+            dotted = dotted_name(ann)
             symbol = self.symbols.resolve(module, dotted) if dotted else None
         if symbol is not None and symbol.kind == "class":
             return symbol
@@ -188,12 +203,10 @@ class CallGraph:
     def _resolve_edges(self, node_id: str) -> list[CallEdge]:
         node = self.nodes[node_id]
         func = self.funcs[node_id]
-        locals_map = self._local_classes(node.module, func)
-        attr_map = (
-            self._attr_classes(node.module, node.cls) if node.cls else {}
-        )
+        locals_map = self._local_classes(node_id)
+        attr_map = self._attr_classes(node.module, node.cls) if node.cls else {}
         edges: list[CallEdge] = []
-        for call, guarded in _calls_with_guards(func):
+        for call, guarded in _calls_with_guards(self.index_of(node_id), func):
             edge = self._resolve_call(node, call, locals_map, attr_map, guarded)
             if edge is not None:
                 edges.append(edge)
@@ -236,7 +249,7 @@ class CallGraph:
                     owner.module, owner.name, target.attr
                 )
                 return self._method_edge(node, resolved, "attr", guarded, call)
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if not dotted:
             return None
         symbol = self.symbols.resolve(node.module, dotted)
@@ -292,15 +305,13 @@ class CallGraph:
 
     # -- dispatch roots --------------------------------------------------------
 
-    def dispatch_roots(self, project) -> list[str]:
-        """Node ids of every SOAP-dispatchable method in the project: the
-        roots the REP2xx/REP9xx reachability passes grow from."""
+    def _dispatch_roots(self, project) -> list[str]:
         roots: set[str] = set()
         for module in project.parsed():
             mod = module.module_name
             if not mod:
                 continue
-            for exposure in find_exposures(module.tree):
+            for exposure in module.index.exposures:
                 symbol = self.symbols.resolve(mod, exposure.class_name)
                 if symbol is None or symbol.kind != "class":
                     continue
@@ -350,7 +361,7 @@ def _is_self(node) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
 
-def _calls_with_guards(func) -> list[tuple[ast.Call, bool]]:
+def _calls_with_guards(index: AstIndex, func) -> list[tuple[ast.Call, bool]]:
     """Every Call in *func* (nested defs included — their bodies execute,
     or not, under the enclosing function's authority) with a flag for
     whether an enclosing ``try`` has an ``except`` handler around it."""
@@ -359,9 +370,8 @@ def _calls_with_guards(func) -> list[tuple[ast.Call, bool]]:
     def collect(node, guarded: bool) -> None:
         if node is None:
             return
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                out.append((sub, guarded))
+        for sub in index.walk(node, ast.Call):
+            out.append((sub, guarded))
 
     def visit(stmts: list[ast.stmt], guarded: bool) -> None:
         for stmt in stmts:

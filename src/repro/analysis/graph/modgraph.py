@@ -1,66 +1,26 @@
-"""The module/import graph: which project module imports which.
+"""The project's modules by dotted name.
 
-Two consumers: name resolution (the symbol table needs to know whether
-``repro.a.b`` in an import origin is a module or a symbol inside
-``repro.a``), and incremental caching (a file's findings can only change
-when its own content, something in its transitive import closure, or a
-project-wide interface fact changes — see :mod:`repro.analysis.cache`).
-
-Relative imports are resolved against the analyzed module's dotted name
-(``from .helpers import x`` inside ``fixtures.demo.svc`` targets
-``fixtures.demo.helpers``), so fixture packages analyzed from an
-arbitrary root resolve the same way the real tree does.
+Name resolution needs to know whether ``repro.a.b`` in an import origin
+is a module or a symbol inside ``repro.a``; :meth:`ModuleGraph.resolve_module`
+answers with the longest project module that prefixes it.  The import
+origins themselves come from each module's
+:attr:`~repro.analysis.astutil.AstIndex.import_origins`, with relative
+imports resolved against the module's own dotted name, so fixture
+packages analyzed from an arbitrary root resolve the same way the real
+tree does.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-
-
-def module_import_origins(tree: ast.Module, module_name: str) -> dict[str, str]:
-    """Local name -> dotted origin, relative imports resolved.
-
-    Like :func:`repro.analysis.astutil.import_aliases` but aware of the
-    importing module's own dotted name, so ``from . import x`` and
-    ``from ..pkg import y`` resolve to absolute project paths.
-    """
-    package = module_name.rsplit(".", 1)[0] if "." in module_name else ""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                aliases[local] = alias.name if alias.asname else alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level > 0:
-                hops = node.level - 1
-                anchor = package
-                for _ in range(hops):
-                    anchor = anchor.rsplit(".", 1)[0] if "." in anchor else ""
-                base = f"{anchor}.{node.module}" if node.module and anchor else (
-                    node.module or anchor
-                )
-                if not base:
-                    continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
-    return aliases
 
 
 @dataclass
 class ModuleGraph:
-    """Project-internal import edges, with closure queries both ways."""
+    """The project's module names, each mapped to its defining file."""
 
     #: dotted module name -> repo-relative path of the defining file
     modules: dict[str, str] = field(default_factory=dict)
-    #: module -> sorted project modules it imports (directly)
-    imports: dict[str, list[str]] = field(default_factory=dict)
-    #: module -> sorted project modules importing it (directly)
-    dependents: dict[str, list[str]] = field(default_factory=dict)
 
     @staticmethod
     def build(project) -> "ModuleGraph":
@@ -68,30 +28,6 @@ class ModuleGraph:
         for module in project.parsed():
             if module.module_name:
                 graph.modules.setdefault(module.module_name, module.rel)
-        edges: dict[str, set[str]] = {name: set() for name in graph.modules}
-        for module in project.parsed():
-            name = module.module_name
-            if name not in edges:
-                continue
-            for origin in module_import_origins(module.tree, name).values():
-                target = graph.resolve_module(origin)
-                if target is not None and target != name:
-                    edges[name].add(target)
-            # plain ``import a.b.c`` binds only ``a`` locally, but the
-            # dependency is on ``a.b.c`` — record the full edge too
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Import):
-                    continue
-                for alias in node.names:
-                    target = graph.resolve_module(alias.name)
-                    if target is not None and target != name:
-                        edges[name].add(target)
-        graph.imports = {name: sorted(edges[name]) for name in sorted(edges)}
-        reverse: dict[str, set[str]] = {name: set() for name in graph.modules}
-        for name, targets in graph.imports.items():
-            for target in targets:
-                reverse[target].add(name)
-        graph.dependents = {name: sorted(reverse[name]) for name in sorted(reverse)}
         return graph
 
     def resolve_module(self, origin: str) -> str | None:
@@ -106,24 +42,3 @@ class ModuleGraph:
                 return None
             candidate = candidate.rsplit(".", 1)[0]
         return None
-
-    def _closure(self, roots: list[str], edges: dict[str, list[str]]) -> list[str]:
-        seen: set[str] = set()
-        queue = sorted(set(roots) & set(self.modules))
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            for nxt in edges.get(current, []):
-                if nxt not in seen:
-                    queue.append(nxt)
-        return sorted(seen)
-
-    def import_closure(self, roots: list[str]) -> list[str]:
-        """*roots* plus everything they transitively import (sorted)."""
-        return self._closure(roots, self.imports)
-
-    def dependent_closure(self, roots: list[str]) -> list[str]:
-        """*roots* plus everything transitively importing them (sorted)."""
-        return self._closure(roots, self.dependents)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.graph.modgraph import ModuleGraph, module_import_origins
+from repro.analysis.astutil import AstIndex, dotted_name
+from repro.analysis.graph.modgraph import ModuleGraph
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ class SymbolTable:
     imports: dict[str, dict[str, str]] = field(default_factory=dict)
     #: (module, alias) -> aliased local name (``Alias = Original``)
     assigns: dict[tuple[str, str], str] = field(default_factory=dict)
+    #: module -> the AST index of its defining file
+    indexes: dict[str, AstIndex] = field(default_factory=dict)
 
     @staticmethod
     def build(project, graph: ModuleGraph) -> "SymbolTable":
@@ -47,7 +50,8 @@ class SymbolTable:
             name = module.module_name
             if not name or graph.modules.get(name) != module.rel:
                 continue  # duplicate module name: first definition won
-            table.imports[name] = module_import_origins(module.tree, name)
+            table.indexes[name] = module.index
+            table.imports[name] = module.index.import_origins
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef):
                     table.classes.setdefault((name, node.name), node)
@@ -139,7 +143,7 @@ class SymbolTable:
             return []
         out: list[Symbol] = []
         for base in node.bases:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if not dotted:
                 continue
             symbol = self._resolve(module, dotted, frozenset())
@@ -191,13 +195,3 @@ class SymbolTable:
                         break
         return known
 
-
-def _dotted(node: ast.AST) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""

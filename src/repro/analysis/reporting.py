@@ -1,9 +1,9 @@
 """Rendering: human text and the ``repro.analysis.report`` JSON artifact.
 
 The JSON artifact is the trendable interface for CI: a stable schema
-(``repro.analysis.report/v1``) carrying every finding with its
-fingerprint, the baseline split, and per-code counts, so future PRs can
-diff finding counts across runs.
+(``repro.analysis.report/v2``) carrying every finding with its
+fingerprint and per-code counts, so future PRs can diff finding counts
+across runs.
 """
 
 from __future__ import annotations
@@ -11,57 +11,33 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from repro.analysis.baseline import Baseline, BaselineResult
-from repro.analysis.core import Finding, Severity
+from repro.analysis.core import Severity
 from repro.analysis.runner import AnalysisResult
 
-REPORT_SCHEMA = "repro.analysis.report/v1"
+REPORT_SCHEMA = "repro.analysis.report/v2"
 
 
-def render_text(
-    result: AnalysisResult,
-    split: BaselineResult,
-    baseline: Baseline | None,
-) -> str:
+def render_text(result: AnalysisResult) -> str:
     lines: list[str] = []
-    for finding in split.new:
+    for finding in result.findings:
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col + 1}: "
             f"{finding.code} [{finding.severity}] {finding.message}"
         )
-    if split.baselined:
-        lines.append(f"baselined: {len(split.baselined)} finding(s) suppressed")
-    if split.stale:
-        lines.append(
-            f"stale baseline: {len(split.stale)} entr(ies) no longer match — "
-            "re-run with --write-baseline to ratchet them out:"
-        )
-        for entry in split.stale:
-            lines.append(
-                f"  {entry.get('path', '?')}: {entry.get('code', '?')} "
-                f"{entry.get('message', '')}"
-            )
     if result.suppressed:
         lines.append(f"inline-suppressed: {len(result.suppressed)} finding(s)")
-    errors = sum(1 for f in split.new if f.severity == Severity.ERROR)
-    warnings = sum(1 for f in split.new if f.severity == Severity.WARNING)
+    errors = sum(1 for f in result.findings if f.severity == Severity.ERROR)
+    warnings = sum(1 for f in result.findings if f.severity == Severity.WARNING)
     lines.append(
         f"{result.files_scanned} file(s) scanned, "
-        f"{len(split.new)} new finding(s) ({errors} error, {warnings} warning)"
+        f"{len(result.findings)} finding(s) ({errors} error, {warnings} warning)"
     )
     return "\n".join(lines)
 
 
-def render_json(
-    result: AnalysisResult,
-    split: BaselineResult,
-    baseline: Baseline | None,
-    *,
-    paths: list[str],
-    exit_code: int,
-) -> str:
-    by_code = Counter(f.code for f in split.new)
-    by_severity = Counter(f.severity for f in split.new)
+def render_json(result: AnalysisResult, *, paths: list[str], exit_code: int) -> str:
+    by_code = Counter(f.code for f in result.findings)
+    by_severity = Counter(f.severity for f in result.findings)
     payload = {
         "tool": "repro.analysis",
         "schema": REPORT_SCHEMA,
@@ -77,30 +53,23 @@ def render_json(
             }
             for checker in result.checkers
         ],
-        "findings": [f.to_dict() for f in split.new],
+        "findings": [f.to_dict() for f in result.findings],
         "counts": {
-            "new": len(split.new),
-            "baselined": len(split.baselined),
+            "new": len(result.findings),
             "suppressed": len(result.suppressed),
-            "stale_baseline": len(split.stale),
             "by_code": dict(sorted(by_code.items())),
             "by_severity": dict(sorted(by_severity.items())),
-        },
-        "baseline": {
-            "path": str(baseline.path) if baseline and baseline.path else "",
-            "entries": len(baseline) if baseline else 0,
-            "stale": list(split.stale),
         },
         "exit_code": exit_code,
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def exit_code_for(split: BaselineResult) -> int:
-    """0 when every finding is baselined or suppressed; 1 on any new
-    finding (warnings included: a warning the author neither fixed nor
+def exit_code_for(result: AnalysisResult) -> int:
+    """0 when every finding is suppressed inline; 1 on any finding
+    (warnings included: a warning the author neither fixed nor
     suppressed is still drift)."""
-    return 1 if split.new else 0
+    return 1 if result.findings else 0
 
 
 def list_checkers_text(checkers) -> str:
@@ -110,7 +79,3 @@ def list_checkers_text(checkers) -> str:
         for code, rule in sorted(checker.codes.items()):
             lines.append(f"  {code}  {rule}")
     return "\n".join(lines)
-
-
-def split_without_baseline(findings: list[Finding]) -> BaselineResult:
-    return BaselineResult(new=list(findings), baselined=[], stale=[])

@@ -47,7 +47,7 @@ def _relpath(path: Path, root: Path) -> str:
 
 @dataclass
 class AnalysisResult:
-    """Everything one run produced, before any baseline is applied."""
+    """Everything one run produced."""
 
     findings: list[Finding]
     files_scanned: int
@@ -179,138 +179,3 @@ def analyze_paths(
         select=select,
         ignore=ignore,
     )
-
-
-def analyze_paths_cached(
-    paths: list[Path],
-    *,
-    root: Path | None = None,
-    checkers: list[Checker] | None = None,
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-    cache_dir: Path | None = None,
-    use_cache: bool = True,
-    changed_only: bool = False,
-) -> tuple[AnalysisResult, "CacheStats"]:
-    """:func:`analyze_paths` with the incremental cache in the loop.
-
-    Three regimes, decided by the per-file digests
-    (:mod:`repro.analysis.cache`):
-
-    - **all files valid** — the report is assembled from cached findings
-      without running a single checker (the warm fast path);
-    - **some files dirty, full mode** — the whole project is re-analyzed
-      and the cache rewritten;
-    - **some files dirty, ``changed_only``** — only the dirty files plus
-      their transitive import closure are analyzed; fresh findings for
-      the dirty files merge with cached findings for the rest.  This is
-      a CI *pre-step*: findings that depend on context outside the
-      closure (a dispatcher that newly reaches into a dirty file) wait
-      for the authoritative full run, so changed-only never writes the
-      cache.
-    """
-    from repro.analysis.cache import (
-        CACHE_DIR,
-        CACHE_FILE,
-        AnalysisCache,
-        CacheStats,
-        deps_digests,
-        finding_from_dict,
-        global_digest,
-    )
-
-    root = (root or Path.cwd()).resolve()
-    modules = load_modules(paths, root=root)
-    active = checkers if checkers is not None else all_checkers()
-    if not use_cache:
-        result = analyze_sources(
-            modules, checkers=active, select=select, ignore=ignore
-        )
-        return result, CacheStats(enabled=False)
-
-    codes = dict(FRAMEWORK_CODES)
-    for checker in active:
-        codes.update(checker.codes)
-    digest = global_digest(modules, select=select, ignore=ignore, codes=codes)
-    graph = Project(modules=list(modules)).graph().modules
-    deps = deps_digests(modules, graph=graph)
-
-    cache_path = Path(cache_dir) if cache_dir is not None else Path(CACHE_DIR)
-    if not cache_path.is_absolute():
-        cache_path = root / cache_path
-    cache = AnalysisCache.load(cache_path / CACHE_FILE)
-    valid, dirty = cache.split_valid(modules, global_digest=digest, deps=deps)
-    stats = CacheStats(
-        enabled=True, hits=len(valid), misses=len(dirty), dirty=list(dirty)
-    )
-
-    if not dirty:
-        findings = [
-            finding_from_dict(payload)
-            for rel in sorted(valid)
-            for payload in valid[rel]["findings"]
-        ]
-        suppressed = [
-            finding_from_dict(payload)
-            for rel in sorted(valid)
-            for payload in valid[rel]["suppressed"]
-        ]
-        findings.sort(key=Finding.sort_key)
-        suppressed.sort(key=Finding.sort_key)
-        stats.fast_path = True
-        return (
-            AnalysisResult(
-                findings=findings,
-                files_scanned=len(modules),
-                checkers=active,
-                suppressed=suppressed,
-            ),
-            stats,
-        )
-
-    if changed_only:
-        dirty_set = set(dirty)
-        dirty_names = [
-            m.module_name for m in modules if m.rel in dirty_set and m.module_name
-        ]
-        closure = set(graph.import_closure(dirty_names))
-        reduced = [
-            m
-            for m in modules
-            if m.rel in dirty_set or m.module_name in closure
-        ]
-        result = analyze_sources(
-            reduced, checkers=active, select=select, ignore=ignore
-        )
-        findings = [f for f in result.findings if f.path in dirty_set]
-        suppressed = [f for f in result.suppressed if f.path in dirty_set]
-        for rel in sorted(valid):
-            findings.extend(
-                finding_from_dict(p) for p in valid[rel]["findings"]
-            )
-            suppressed.extend(
-                finding_from_dict(p) for p in valid[rel]["suppressed"]
-            )
-        findings.sort(key=Finding.sort_key)
-        suppressed.sort(key=Finding.sort_key)
-        return (
-            AnalysisResult(
-                findings=findings,
-                files_scanned=len(modules),
-                checkers=active,
-                suppressed=suppressed,
-            ),
-            stats,
-        )
-
-    result = analyze_sources(modules, checkers=active, select=select, ignore=ignore)
-    cache.refresh(
-        modules,
-        result.findings,
-        result.suppressed,
-        global_digest=digest,
-        deps=deps,
-    )
-    cache.save()
-    stats.wrote = True
-    return result, stats

@@ -382,6 +382,13 @@ class _Parser:
     def _skip_ws(self) -> None:
         self.pos = _SPACE(self.text, self.pos).end()
 
+    def _check_qname(self, name: str, start: int) -> None:
+        """A name with a colon is ``prefix:local``: one colon, both parts
+        non-empty (``xmlns:`` too must name a prefix)."""
+        prefix, _, local = name.partition(":")
+        if not prefix or not local or ":" in local:
+            raise XmlParseError(f"malformed qualified name {name!r}", start)
+
     def _resolve(self, name: str, nsmap: dict[str, str], *, attr: bool) -> QName:
         if ":" in name:
             prefix, local = name.split(":", 1)
@@ -397,6 +404,8 @@ class _Parser:
             raise self.fail(f"elements nested deeper than {MAX_DEPTH} levels")
         self.pos += 1
         name = self._parse_name()
+        if ":" in name:
+            self._check_qname(name, self.pos - len(name))
         raw_attrs: list[tuple[str, str]] = []
         nsmap = dict(parent_nsmap)
         while True:
@@ -406,6 +415,8 @@ class _Parser:
             if self.text[self.pos] in "/>":
                 break
             attr_name = self._parse_name()
+            if ":" in attr_name:
+                self._check_qname(attr_name, self.pos - len(attr_name))
             self._skip_ws()
             if self.pos >= self.n or self.text[self.pos] != "=":
                 raise self.fail(f"expected '=' after attribute {attr_name!r}")

@@ -1,4 +1,4 @@
-"""The whole-program graph: import closure, symbol resolution, calls.
+"""The whole-program graph: symbol resolution and calls.
 
 Everything here runs on tiny in-memory projects, so each test isolates
 one resolution idiom — aliased imports, re-exports, assignment aliases,
@@ -15,40 +15,21 @@ def graph_of(sources):
     return Project(modules=modules_from(sources)).graph()
 
 
-# -- module graph --------------------------------------------------------------
-
-
-def test_import_closure_and_dependents():
-    g = graph_of({
-        "pkg/__init__.py": "",
-        "pkg/a.py": "from pkg.b import item\n",
-        "pkg/b.py": "import pkg.c\nitem = 1\n",
-        "pkg/c.py": "",
-    })
-    mg = g.modules
-    # pkg.b's ``import pkg.c`` binds only ``pkg`` but depends on pkg.c,
-    # so both land in the closure
-    assert mg.import_closure(["pkg.a"]) == ["pkg", "pkg.a", "pkg.b", "pkg.c"]
-    assert mg.dependent_closure(["pkg.c"]) == ["pkg.a", "pkg.b", "pkg.c"]
+# -- module resolution ---------------------------------------------------------
 
 
 def test_relative_imports_resolve_against_the_package():
     g = graph_of({
         "pkg/__init__.py": "",
-        "pkg/svc.py": "from .helpers import h\n",
+        "pkg/svc.py": "from .helpers import h\nfrom . import helpers as hp\n",
         "pkg/helpers.py": "def h():\n    return 1\n",
     })
-    assert g.modules.imports["pkg.svc"] == ["pkg.helpers"]
-
-
-def test_import_cycles_terminate():
-    g = graph_of({
-        "cyc/__init__.py": "",
-        "cyc/a.py": "from cyc.b import f\n",
-        "cyc/b.py": "from cyc.a import g\n",
-    })
-    assert g.modules.import_closure(["cyc.a"]) == ["cyc.a", "cyc.b"]
-    assert g.modules.dependent_closure(["cyc.a"]) == ["cyc.a", "cyc.b"]
+    for dotted in ("h", "hp.h"):
+        symbol = g.symbols.resolve("pkg.svc", dotted)
+        assert symbol is not None
+        assert (symbol.kind, symbol.module, symbol.name) == (
+            "func", "pkg.helpers", "h",
+        )
 
 
 # -- symbol table --------------------------------------------------------------
@@ -149,7 +130,7 @@ DEPLOYED_SERVICE = {
 
 def test_dispatch_roots_from_exposures():
     project = Project(modules=modules_from(DEPLOYED_SERVICE))
-    roots = project.graph().calls.dispatch_roots(project)
+    roots = project.graph().calls.dispatch_roots
     assert "app.svc:Svc.op" in roots
     assert "app.svc:Svc.shielded" in roots
     assert "app.svc:Svc._inner" not in roots

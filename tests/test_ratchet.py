@@ -24,11 +24,11 @@ def _o1(traced: float, sampled: float) -> dict:
     }
 
 
-def _a1(speedup: float, floor: float = 3.0) -> dict:
+def _a1(ratio: float, ceiling: float = 4.0) -> dict:
     return {
         "benchmark": "a1_analysis_speed",
-        "warm_speedup": speedup,
-        "min_warm_speedup": floor,
+        "cold_over_parse": ratio,
+        "max_cold_over_parse": ceiling,
     }
 
 
@@ -85,30 +85,31 @@ def test_zero_overhead_baseline_is_not_ratcheted(ratchet):
 
 
 def test_analysis_speedup_just_inside_tolerance(ratchet):
-    assert ratchet(_a1(4.0), _a1(3.25)) == (
+    assert ratchet(_a1(2.0), _a1(2.5)) == (
         0,
-        "ratchet holds: warm cache 3.25x faster than cold (baseline 4.00x, "
+        "ratchet holds: analysis 2.50x the loading time (baseline 2.00x, "
         "tolerance 1.25x)\n",
         "",
     )
 
 
 def test_analysis_speedup_just_outside_tolerance(ratchet):
-    assert ratchet(_a1(4.0), _a1(3.15)) == (
+    assert ratchet(_a1(2.0), _a1(2.55)) == (
         1,
         "",
-        "RATCHET FAIL: warm-cache speedup regressed: 3.15x vs 4.00x at "
-        "baseline (tolerance: within 1.25x of baseline)\n",
+        "RATCHET FAIL: analysis regressed: 2.55x the loading time vs 2.00x "
+        "at baseline (tolerance 1.25x)\n",
     )
 
 
 def test_analysis_speedup_floor(ratchet):
-    assert ratchet(_a1(3.5), _a1(3.0))[0] == 0  # on the floor holds
-    assert ratchet(_a1(3.5), _a1(2.95)) == (
+    """The speed floor is a ceiling on analysis time per loading time."""
+    assert ratchet(_a1(3.5), _a1(4.0))[0] == 0  # on the ceiling holds
+    assert ratchet(_a1(3.5), _a1(4.05)) == (
         1,
         "",
-        "RATCHET FAIL: warm-cache speedup 2.95x is below the hard floor "
-        "3x — the fast path is no longer skipping the checkers\n",
+        "RATCHET FAIL: analysis takes 4.05x the loading time, over the hard "
+        "ceiling 4x\n",
     )
 
 

@@ -190,6 +190,30 @@ def test_parse_name_and_whitespace_errors(wire, message, offset):
     assert str(caught.value) == f"{message} (at offset {offset})"
 
 
+@pytest.mark.parametrize("wire, name, offset", [
+    # an empty local part
+    ("<:/>", ":", 1),
+    ('<r xmlns:p="urn:p"><p:/></r>', "p:", 20),
+    ('<a :="1"/>', ":", 3),
+    ('<a xmlns:b="urn:b" b:="1"/>', "b:", 19),
+    # an empty prefix: no default namespace is borrowed, for attributes least
+    ("<:a/>", ":a", 1),
+    ('<a xmlns="urn:x" :b="1"/>', ":b", 17),
+    # more than one colon
+    ('<a:b:c xmlns:a="urn:a"/>', "a:b:c", 1),
+    # a namespace declaration must name its prefix
+    ('<a xmlns:="urn:x"><b/></a>', "xmlns:", 3),
+])
+def test_parse_refuses_names_that_are_not_qnames(wire, name, offset):
+    with pytest.raises(XmlParseError) as caught:
+        parse_xml(wire)
+    assert str(caught.value) == (
+        f"malformed qualified name {name!r} (at offset {offset})"
+    )
+    # the offset lies inside the start tag that holds the name
+    assert wire.rfind("<", 0, offset + 1) < offset < wire.index(">", offset)
+
+
 def test_name_and_whitespace_scans_accept_what_str_predicates_accept():
     # the parser scans a name with ``[\w.:-]+`` and whitespace with ``\s*``;
     # on every code point those classes must be ``isalnum()`` or ``_.:-``,
