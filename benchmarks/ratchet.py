@@ -3,12 +3,16 @@
 Compares a fresh ``BENCH_*.json`` against the committed baseline and fails
 (exit 1) when the figure that benchmark guards regressed more than its
 tolerance.  The ``"benchmark"`` field of the files picks the comparison.
-Every compared figure is a ratio, because absolute timings differ machine
-to machine (a CI runner is not the machine that committed the baseline):
+Absolute timings differ machine to machine (a CI runner is not the machine
+that committed the baseline), so no compared figure is a raw wall-clock
+time:
 
-- ``o1_tracing_overhead``: the *normalized* overhead per mode —
-  ``overhead_us_per_call / untraced us_per_call`` — since the overhead
-  *fraction* is the property the hot-path work guards.
+- ``o1_tracing_overhead``: what tracing adds to a call, traced and
+  tail-sampled, in *host-scaled* microseconds (wall-clock time scaled by a
+  calibration loop timed beside it, so it reads as time on a reference
+  host).  Tracing's own cost is what the hot-path work guards; a ratio to
+  the untraced call would read every cheaper untraced call as a tracing
+  regression.
 - ``a1_analysis_speed``: ``cold_over_parse`` — analysis seconds per
   second of loading the same tree — since the checkers must stay cheap
   next to parsing.  The report's own ``max_cold_over_parse`` is a hard
@@ -25,39 +29,38 @@ import json
 import sys
 from pathlib import Path
 
-#: a regression is a normalized tracing overhead more than 15% over baseline
+#: a regression is a tracing overhead more than 15% over baseline
 OVERHEAD_TOLERANCE = 1.15
 
 #: a regression is an analysis-to-loading ratio more than 25% over baseline
 ANALYSIS_TOLERANCE = 1.25
 
 
-def normalized_overheads(report: dict) -> dict[str, float]:
-    """Per-mode overhead as a fraction of the untraced per-call cost."""
-    off = report["untraced"]["us_per_call"]
+def overheads(report: dict) -> dict[str, float]:
+    """Host-scaled microseconds tracing adds to a call, per mode."""
     return {
-        "traced": report["overhead_us_per_call"] / off,
-        "sampled": report["sampled_overhead_us_per_call"] / off,
+        "traced": report["overhead_us_per_call"],
+        "sampled": report["sampled_overhead_us_per_call"],
     }
 
 
 def tracing_overhead(baseline: dict, current: dict) -> tuple[list[str], str]:
     """(regression messages, verdict when none) for the o1 benchmark."""
-    base = normalized_overheads(baseline)
-    cur = normalized_overheads(current)
+    base = overheads(baseline)
+    cur = overheads(current)
     failures = []
     for mode in sorted(base):
         if base[mode] <= 0:  # degenerate baseline: nothing to ratchet against
             continue
         if cur[mode] > base[mode] * OVERHEAD_TOLERANCE:
             failures.append(
-                f"{mode} tracing overhead regressed: {cur[mode]:.3f}x of an "
-                f"untraced call vs {base[mode]:.3f}x at baseline "
+                f"{mode} tracing overhead regressed: {cur[mode]:.1f} us per "
+                f"call vs {base[mode]:.1f} us at baseline "
                 f"(tolerance {OVERHEAD_TOLERANCE:g}x)"
             )
     holds = (
-        f"traced {cur['traced']:.3f}x, sampled {cur['sampled']:.3f}x of an "
-        f"untraced call (tolerance {OVERHEAD_TOLERANCE:g}x vs baseline)"
+        f"traced {cur['traced']:.1f} us, sampled {cur['sampled']:.1f} us per "
+        f"call (tolerance {OVERHEAD_TOLERANCE:g}x vs baseline)"
     )
     return failures, holds
 

@@ -303,8 +303,8 @@ def _edge_summary(calls, node_id: str, call: ast.Call, summaries):
     name matches the call target, fall back to the first line match."""
     target = None
     fallback = None
-    for edge in calls.edges_from.get(node_id, []):
-        if edge.line != call.lineno or edge.kind == "ctor":
+    for edge in calls.edges_by_line.get(node_id, {}).get(call.lineno, ()):
+        if edge.kind == "ctor":
             continue
         if target is None:
             target = dotted_name(call.func).split(".")[-1]

@@ -66,6 +66,10 @@ class CallGraph:
     #: node id -> its FunctionDef (kept off the frozen node for hashing)
     funcs: dict[str, ast.FunctionDef] = field(default_factory=dict)
     edges_from: dict[str, list[CallEdge]] = field(default_factory=dict)
+    #: node id -> line -> the node's edges from that line, in edge order
+    edges_by_line: dict[str, dict[int, list[CallEdge]]] = field(
+        default_factory=dict
+    )
     #: ids of every SOAP-dispatchable method: the roots the REP2xx/REP9xx
     #: reachability passes grow from
     dispatch_roots: list[str] = field(default_factory=list)
@@ -91,7 +95,11 @@ class CallGraph:
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                             graph._add_node(mod, stmt.name, item, module.rel)
         for node_id in sorted(graph.nodes):
-            graph.edges_from[node_id] = graph._resolve_edges(node_id)
+            edges = graph.edges_from[node_id] = graph._resolve_edges(node_id)
+            by_line: dict[int, list[CallEdge]] = {}
+            for edge in edges:
+                by_line.setdefault(edge.line, []).append(edge)
+            graph.edges_by_line[node_id] = by_line
         graph.dispatch_roots = graph._dispatch_roots(project)
         return graph
 

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.portlets.base import Portlet
 from repro.transport.client import HttpClient
 from repro.transport.http import parse_url
 from repro.transport.network import TransportError, VirtualNetwork
 from repro.xmlutil.element import XmlElement, XmlParseError, parse_xml
+
+#: a document type declaration without an internal subset, as XHTML pages
+#: carry: it declares no entity, so the copy is read without it (the
+#: parser refuses every DTD)
+_EXTERNAL_DOCTYPE = re.compile(r"<!DOCTYPE\s[^\[\]<>]*>")
 
 
 class WebPagePortlet(Portlet):
@@ -56,7 +63,9 @@ class WebPagePortlet(Portlet):
             )
             return self.raw
         try:
-            self.document = parse_xml(response.body)
+            self.document = parse_xml(
+                _EXTERNAL_DOCTYPE.sub("", response.body, count=1)
+            )
         except XmlParseError:
             self.document = None  # keep raw text for non-XML content
         return self.raw

@@ -134,7 +134,11 @@ def _body_bytes(body: str) -> int:
     being double-counted.  A lone surrogate, which UTF-8 cannot carry,
     counts as the 3 bytes ``surrogatepass`` gives it, so sizing never
     fails: whether such a body is well-formed is the receiver's to decide.
+    An ASCII body, the common case, is one byte per character in every one
+    of those encodings, and CPython knows a string is ASCII without a scan.
     """
+    if body.isascii():
+        return len(body)
     try:
         return len(body.encode("latin-1"))
     except UnicodeEncodeError:

@@ -1,11 +1,11 @@
 """XML infrastructure for the portal reproduction.
 
 Everything above this layer (SOAP, WSDL, UDDI, application descriptors, the
-schema wizard) speaks XML.  This package provides, from scratch:
+schema wizard) speaks XML.  This package provides:
 
 - :mod:`repro.xmlutil.qname` — namespace-qualified names.
 - :mod:`repro.xmlutil.element` — a lightweight XML infoset
-  (:class:`XmlElement`), a serializer, and a hand-rolled parser.
+  (:class:`XmlElement`), a serializer, and a parser built on expat.
 - :mod:`repro.xmlutil.schema` — an XSD-subset Schema Object Model (SOM), the
   analogue of Castor's SOM used by the paper's schema wizard (Figure 3).
 - :mod:`repro.xmlutil.validation` — instance validation against a SOM.

@@ -1,4 +1,4 @@
-"""A lightweight XML infoset with serializer and hand-rolled parser.
+"""A lightweight XML infoset with a serializer and an expat-based parser.
 
 The portal layers exchange *documents*, not streams, and need deterministic
 serialization plus namespace-aware access (for SOAP envelopes).  This module
@@ -13,12 +13,21 @@ SOAP argument) share one declaration.  The XML namespace keeps its reserved
 as ``&#9;``, ``&#10;`` and ``&#13;``, and text writes CR as ``&#13;``: a
 parser normalizes those characters when they travel raw (an attribute's to
 spaces, a CR or CRLF to LF).
+
+:func:`parse_xml` builds the tree from the callbacks of the standard
+library's expat, a conforming parser.  Every document that is not
+well-formed XML 1.0 with namespaces is an :class:`XmlParseError`:
+characters XML cannot carry (NUL and other C0 controls, U+FFFE, a lone
+surrogate), ``]]>`` in text, a duplicate attribute, an unbound prefix,
+``xmlns:p=""``, ``&#X41;``.  So is any document type declaration, which
+closes entity expansion, and nesting deeper than :data:`MAX_DEPTH`.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Iterable, Iterator, Union
+from xml.parsers.expat import ErrorString, ExpatError, ParserCreate
 
 from repro.xmlutil.qname import QName
 
@@ -29,28 +38,20 @@ _ESCAPES_ATTR = {
 }
 #: any character an attribute value writes as a reference
 _ATTR_SPECIALS = re.compile("[" + "".join(_ESCAPES_ATTR) + "]")
-_NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 #: the namespace bound to the ``xml`` prefix in every document, undeclared
 XML_NS = "http://www.w3.org/XML/1998/namespace"
 
-#: a character reference body: ASCII decimal digits, or x/X and hex digits
-#: (leading zeros allowed, at most enough digits to name U+10FFFF)
-_CHAR_REF = re.compile(r"#(?:0*([0-9]{1,7})|[xX]0*([0-9a-fA-F]{1,6}))")
-
-#: a name and a whitespace run, scanned in C: ``\w`` is exactly the
-#: characters ``str.isalnum()`` accepts plus ``_``, and ``\s`` exactly
-#: those ``str.isspace()`` accepts
-_NAME = re.compile(r"[\w.:-]+").match
-_SPACE = re.compile(r"\s*").match
-
-#: the deepest element nesting the parser accepts; it recurses two stack
-#: frames per level, so an unbounded document could exhaust the stack
+#: the deepest element nesting the parser accepts.  The parser keeps its
+#: own stack, but the tree's walkers (``iter``, ``clone``, ``_serialize``
+#: and ``__eq__``) recurse a frame or more per level, so an unbounded
+#: document could exhaust the interpreter's stack after parsing
 MAX_DEPTH = 256
 
 
 class XmlParseError(ValueError):
-    """Raised on malformed XML input; carries the byte offset of the error."""
+    """Raised on input that is not a well-formed document; ``pos`` is the
+    character offset into the parsed string at which the fault lies."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
@@ -319,239 +320,88 @@ class XmlElement:
 # Parser
 # ---------------------------------------------------------------------------
 
+#: expat's name for an element or attribute (``namespace}local``, or a bare
+#: ``local`` outside any namespace) -> its QName.  Building a QName costs
+#: about a microsecond and documents reuse few names, so each is built
+#: once; a run of distinct names refills the table instead of growing it.
+_QNAMES: dict[str, QName] = {}
 
-class _Parser:
-    """A small recursive-descent, namespace-aware XML parser."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
-        self.depth = 0  # elements open around the current position
-
-    def fail(self, message: str) -> XmlParseError:
-        return XmlParseError(message, self.pos)
-
-    def parse_document(self) -> XmlElement:
-        self._skip_misc()
-        if self.pos >= self.n or self.text[self.pos] != "<":
-            raise self.fail("expected root element")
-        root = self._parse_element({"": "", "xml": XML_NS})
-        self._skip_misc()
-        if self.pos != self.n:
-            raise self.fail("trailing content after root element")
-        return root
-
-    def _skip_misc(self) -> None:
-        """Skip whitespace, comments, processing instructions, and DOCTYPE."""
-        while True:
-            self.pos = _SPACE(self.text, self.pos).end()
-            if self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated comment")
-                self.pos = end + 3
-            elif self.text.startswith("<!DOCTYPE", self.pos):
-                depth = 0
-                while self.pos < self.n:
-                    c = self.text[self.pos]
-                    self.pos += 1
-                    if c == "<":
-                        depth += 1
-                    elif c == ">":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                else:
-                    raise self.fail("unterminated DOCTYPE")
-            else:
-                return
-
-    def _parse_name(self) -> str:
-        match = _NAME(self.text, self.pos)
-        if match is None:
-            raise self.fail("expected a name")
-        self.pos = match.end()
-        return match[0]
-
-    def _skip_ws(self) -> None:
-        self.pos = _SPACE(self.text, self.pos).end()
-
-    def _check_qname(self, name: str, start: int) -> None:
-        """A name with a colon is ``prefix:local``: one colon, both parts
-        non-empty (``xmlns:`` too must name a prefix)."""
-        prefix, _, local = name.partition(":")
-        if not prefix or not local or ":" in local:
-            raise XmlParseError(f"malformed qualified name {name!r}", start)
-
-    def _resolve(self, name: str, nsmap: dict[str, str], *, attr: bool) -> QName:
-        if ":" in name:
-            prefix, local = name.split(":", 1)
-            if prefix not in nsmap:
-                raise self.fail(f"undeclared namespace prefix {prefix!r}")
-            return QName(nsmap[prefix], local)
-        # default namespace applies to elements, never to attributes
-        return QName("" if attr else nsmap.get("", ""), name)
-
-    def _parse_element(self, parent_nsmap: dict[str, str]) -> XmlElement:
-        assert self.text[self.pos] == "<"
-        if self.depth == MAX_DEPTH:
-            raise self.fail(f"elements nested deeper than {MAX_DEPTH} levels")
-        self.pos += 1
-        name = self._parse_name()
-        if ":" in name:
-            self._check_qname(name, self.pos - len(name))
-        raw_attrs: list[tuple[str, str]] = []
-        nsmap = dict(parent_nsmap)
-        while True:
-            self._skip_ws()
-            if self.pos >= self.n:
-                raise self.fail("unterminated start tag")
-            if self.text[self.pos] in "/>":
-                break
-            attr_name = self._parse_name()
-            if ":" in attr_name:
-                self._check_qname(attr_name, self.pos - len(attr_name))
-            self._skip_ws()
-            if self.pos >= self.n or self.text[self.pos] != "=":
-                raise self.fail(f"expected '=' after attribute {attr_name!r}")
-            self.pos += 1
-            self._skip_ws()
-            quote = self.text[self.pos] if self.pos < self.n else ""
-            if quote not in ("'", '"'):
-                raise self.fail("attribute value must be quoted")
-            self.pos += 1
-            end = self.text.find(quote, self.pos)
-            if end < 0:
-                raise self.fail("unterminated attribute value")
-            value = _decode_entities(self.text[self.pos:end], self)
-            self.pos = end + 1
-            if attr_name == "xmlns":
-                nsmap[""] = value
-            elif attr_name.startswith("xmlns:"):
-                nsmap[attr_name[6:]] = value
-            else:
-                raw_attrs.append((attr_name, value))
-
-        element = XmlElement(self._resolve(name, nsmap, attr=False))
-        for attr_name, value in raw_attrs:
-            element.attributes[self._resolve(attr_name, nsmap, attr=True)] = value
-
-        if self.text[self.pos] == "/":
-            if not self.text.startswith("/>", self.pos):
-                raise self.fail("malformed empty-element tag")
-            self.pos += 2
-            return element
-        self.pos += 1  # consume '>'
-        self.depth += 1
-        self._parse_content(element, nsmap, name)
-        self.depth -= 1
-        return element
-
-    def _parse_content(
-        self, element: XmlElement, nsmap: dict[str, str], open_name: str
-    ) -> None:
-        buf: list[str] = []
-
-        def flush() -> None:
-            if buf:
-                text = "".join(buf)
-                buf.clear()
-                element.content.append(text)
-
-        while True:
-            if self.pos >= self.n:
-                raise self.fail(f"unterminated element <{open_name}>")
-            ch = self.text[self.pos]
-            if ch != "<":
-                nxt = self.text.find("<", self.pos)
-                if nxt < 0:
-                    raise self.fail(f"unterminated element <{open_name}>")
-                buf.append(_decode_entities(self.text[self.pos:nxt], self))
-                self.pos = nxt
-                continue
-            if self.text.startswith("</", self.pos):
-                flush()
-                self.pos += 2
-                close = self._parse_name()
-                if close != open_name:
-                    raise self.fail(
-                        f"mismatched close tag </{close}> for <{open_name}>"
-                    )
-                self._skip_ws()
-                if self.pos >= self.n or self.text[self.pos] != ">":
-                    raise self.fail("malformed close tag")
-                self.pos += 1
-                return
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated comment")
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<![CDATA[", self.pos):
-                end = self.text.find("]]>", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated CDATA section")
-                buf.append(self.text[self.pos + 9:end])
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos)
-                if end < 0:
-                    raise self.fail("unterminated processing instruction")
-                self.pos = end + 2
-                continue
-            flush()
-            element.content.append(self._parse_element(nsmap))
+_new = object.__new__
 
 
-def _decode_entities(text: str, parser: _Parser) -> str:
-    amp = text.find("&")
-    if amp < 0:
-        return text
-    out: list[str] = []
-    start = 0  # the first character not yet copied to *out*
-    while amp >= 0:
-        end = text.find(";", amp)
-        if end < 0:
-            raise parser.fail("unterminated entity reference")
-        out.append(text[start:amp])
-        entity = text[amp + 1:end]
-        if entity.startswith("#"):
-            out.append(_char_ref(entity, parser))
-        elif entity in _NAMED_ENTITIES:
-            out.append(_NAMED_ENTITIES[entity])
-        else:
-            raise parser.fail(f"unknown entity &{entity};")
-        start = end + 1
-        amp = text.find("&", start)
-    out.append(text[start:])
-    return "".join(out)
+def _qname(name: str) -> QName:
+    """The QName of expat name *name*, entered in :data:`_QNAMES`."""
+    if len(_QNAMES) >= 4096:
+        _QNAMES.clear()
+    # a local name never holds the separator; a namespace may
+    namespace, _, local = name.rpartition("}")
+    qname = _QNAMES[name] = QName(namespace, local)
+    return qname
 
 
-def _char_ref(entity: str, parser: _Parser) -> str:
-    """The character ``&{entity};`` names, if it is one XML allows."""
-    match = _CHAR_REF.fullmatch(entity)
-    if match is None:
-        raise parser.fail(f"malformed character reference &{entity};")
-    decimal, hexadecimal = match.groups()
-    code = int(decimal) if decimal is not None else int(hexadecimal, 16)
-    if not (
-        0x20 <= code <= 0xD7FF
-        or code in (0x9, 0xA, 0xD)
-        or 0xE000 <= code <= 0xFFFD
-        or 0x10000 <= code <= 0x10FFFF
-    ):
-        raise parser.fail(f"&{entity}; names no XML character")
-    return chr(code)
+def _offset(text: str, byte_index: int) -> int:
+    """The character offset in *text* of its UTF-8 byte *byte_index*."""
+    if byte_index <= 0 or text.isascii():
+        return max(byte_index, 0)
+    return len(text.encode("utf-8")[:byte_index].decode("utf-8", "ignore"))
 
 
 def parse_xml(text: str) -> XmlElement:
     """Parse an XML document string into an :class:`XmlElement` tree."""
-    return _Parser(text).parse_document()
+    parser = ParserCreate(namespace_separator="}")
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    document = _new(XmlElement)  # above the root, its one child
+    document.content = []
+    open_elements = [document]
+    pending: list[str] = []  # the text since the last tag, in chunks
+
+    def refuse(message: str) -> XmlParseError:
+        return XmlParseError(message, _offset(text, parser.CurrentByteIndex))
+
+    def start(name: str, attributes: list[str]) -> None:
+        parent = open_elements[-1]
+        if pending:
+            parent.content.append("".join(pending))
+            pending.clear()
+        if len(open_elements) > MAX_DEPTH:
+            raise refuse(f"elements nested deeper than {MAX_DEPTH} levels")
+        element = _new(XmlElement)
+        try:
+            element.tag = _QNAMES[name]
+        except KeyError:
+            element.tag = _qname(name)
+        element.attributes = values = {}
+        if attributes:  # name, value, name, value, ... in document order
+            for i in range(0, len(attributes), 2):
+                key = attributes[i]
+                values[_QNAMES.get(key) or _qname(key)] = attributes[i + 1]
+        element.content = []
+        parent.content.append(element)
+        open_elements.append(element)
+
+    def end(_name: str) -> None:
+        element = open_elements.pop()
+        if pending:
+            element.content.append("".join(pending))
+            pending.clear()
+
+    def refuse_doctype(*_declaration) -> None:
+        # called before any internal subset is read: no entity is declared
+        raise refuse("a document type declaration is not accepted")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = pending.append
+    parser.StartDoctypeDeclHandler = refuse_doctype
+    try:
+        parser.Parse(text, True)
+    except ExpatError as error:
+        raise XmlParseError(
+            ErrorString(error.code), _offset(text, parser.ErrorByteIndex)
+        ) from None
+    except UnicodeEncodeError as error:  # UTF-8 cannot carry it, nor XML
+        raise XmlParseError("lone surrogate", error.start) from None
+    finally:  # these refer to the parser: free it without the cyclic GC
+        parser.StartElementHandler = parser.StartDoctypeDeclHandler = None
+    return document.content[0]

@@ -5,6 +5,9 @@ one resolution idiom — aliased imports, re-exports, assignment aliases,
 method resolution through cross-module bases, and cycles.
 """
 
+import ast
+
+from repro.analysis.checkers.propagation import _edge_summary
 from repro.analysis.core import Project
 from repro.analysis.graph.dataflow import reachable
 
@@ -170,3 +173,32 @@ def test_guarded_cross_module_edges_stop_reachability():
         follow_guarded=True, edge_filter=unguarded_cross,
     )
     assert "app.helpers:helper" in via_op
+
+
+def test_edges_by_line_keep_edge_order_and_the_name_match_wins():
+    g = graph_of({
+        "pkg/__init__.py": "",
+        "pkg/m.py": (
+            "def first():\n    return 1\n\n\n"
+            "def second():\n    return 2\n\n\n"
+            "def both():\n    return first() + second()\n"
+        ),
+    })
+    calls = g.calls
+    for node_id, edges in calls.edges_from.items():
+        by_line = calls.edges_by_line[node_id]
+        assert by_line == {
+            line: [e for e in edges if e.line == line]
+            for line in {e.line for e in edges}
+        }
+    assert [e.callee for e in calls.edges_by_line["pkg.m:both"][10]] == [
+        "pkg.m:first", "pkg.m:second",
+    ]
+    # two calls on one line: each finds its own callee's summary
+    summaries = {"pkg.m:first": "F", "pkg.m:second": "S"}
+    found = {
+        call.func.id: _edge_summary(calls, "pkg.m:both", call, summaries)
+        for call in ast.walk(calls.funcs["pkg.m:both"])
+        if isinstance(call, ast.Call)
+    }
+    assert found == {"first": "F", "second": "S"}

@@ -64,3 +64,24 @@ def test_lone_surrogate_counts_its_surrogatepass_bytes():
     odd = HttpRequest("POST", Url("h", "/p"), body="a\ud800b")
     assert odd.size - plain.size == 3
     assert HttpResponse(body="a\ud800b").size - HttpResponse(body="ab").size == 3
+
+
+@pytest.mark.parametrize("body, size", [
+    ("plain <ascii/> & \x00\x7f", 19),
+    ("caf\u00e9 \u00ff\x80", 7),
+    ("\u20ac and \U0001F600", 12),
+    ("a\ud800b", 5),
+    ("\u00e9\ud800", 5),
+], ids=["ascii", "latin-1", "beyond-latin-1", "lone-surrogate",
+        "latin-1-and-lone-surrogate"])
+def test_body_size_follows_its_encoding(body, size):
+    # ASCII and latin-1 bodies count a byte a character, others their UTF-8
+    # bytes, a lone surrogate the 3 bytes ``surrogatepass`` gives it
+    try:
+        expected = len(body.encode("latin-1"))
+    except UnicodeEncodeError:
+        expected = len(body.encode("utf-8", "surrogatepass"))
+    assert expected == size
+    assert HttpResponse(body=body).size - HttpResponse().size == size
+    request = HttpRequest("POST", Url("h", "/p"), body=body)
+    assert request.size - HttpRequest("POST", Url("h", "/p")).size == size
