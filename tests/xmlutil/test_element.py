@@ -182,11 +182,19 @@ def test_parse_names_and_whitespace_beyond_ascii():
         QName("", "a\u0663"): "1", QName("", "b\u00b7"): "2",
     }
     assert doc.text == "x"
-    assert parse_xml("<a\u00b7/>").tag == QName("", "a\u00b7")
     for space in "\u3000\u0085\u2028\u00a0":
         with pytest.raises(XmlParseError) as caught:
             parse_xml(f"<a{space}b='1'/>")
         assert caught.value.pos == 2
+
+
+def test_parse_middle_dot_continues_a_name_but_cannot_start_one():
+    # U+00B7 is an XML name character, not a name start character
+    assert parse_xml("<a\u00b7/>").tag == QName("", "a\u00b7")
+    for wire, offset in [("<\u00b7a/>", 1), ("<a \u00b7b='1'/>", 3)]:
+        with pytest.raises(XmlParseError) as caught:
+            parse_xml(wire)
+        assert caught.value.pos == offset
 
 
 # each wire holds a space XML does not allow (U+3000) in the markup that
