@@ -7,15 +7,22 @@ interface (§3.4).  This walkthrough builds the full portal, resolves
 the IU host mid-benchmark: the failover client rotates to SDSC, the
 circuit breaker stops wasting wire time on the corpse, and the user never
 sees an error.  Every resilience event lands in the monitoring service and
-the portal's resilience portlet.  A seeded chaos run closes the show.
+the portal's resilience portlet.  A seeded nemesis schedule, replayed
+twice through the chaos harness, closes the show.
 
 Run:  python examples/failover_portal.py
 """
 
 from repro.portal import PortalDeployment, UserInterfaceServer
 from repro.resilience.breaker import CircuitBreakerPolicy
-from repro.resilience.chaos import ChaosConfig, ChaosHarness, ChaosMonkey
+from repro.resilience.chaos import ChaosHarness, ChaosMonkey
 from repro.services.monitoring import MONITORING_NAMESPACE
+from repro.simtest.nemesis import (
+    BreakerFlapNemesis,
+    CrashNemesis,
+    LatencySpikeNemesis,
+    compose,
+)
 from repro.soap.client import SoapClient
 
 
@@ -63,7 +70,17 @@ def main() -> None:
     print("   rendered:", "Resilience" in page and "event stream included")
 
     print("\n== seeded chaos: the same schedule twice, identical streams ==")
-    def one_run(seed: int):
+    providers = ("bsg.iu.edu", "bsg.sdsc.edu")
+    # short outages relative to the workload's request rate, so the
+    # schedule mostly leaves one provider alive at any moment
+    schedule = compose(
+        CrashNemesis(providers, every=(8.33, 25.0), outage=(0.5, 2.0)),
+        BreakerFlapNemesis(providers, every=(3.125, 9.375), size=(1, 2)),
+        LatencySpikeNemesis(providers, every=(4.17, 12.5), magnitude=(0.5, 3.0)),
+    ).schedule(2002, 40)
+    print(f"   scheduled events      : {len(schedule)}")
+
+    def one_run():
         d = PortalDeployment.build()
         u = UserInterfaceServer(d)
         # a cooldown sized to the outage lengths, so repaired providers
@@ -73,15 +90,7 @@ def main() -> None:
             breaker_policy=CircuitBreakerPolicy(failure_threshold=3,
                                                 cooldown=1.0),
         )
-        # short outages relative to the workload's request rate, so the
-        # schedule mostly leaves one provider alive at any moment
-        config = ChaosConfig(p_take_down=0.03, down_duration=(0.5, 2.0),
-                             p_fault_burst=0.08, burst_size=(1, 2),
-                             p_flap=0.0)
-        monkey = ChaosMonkey(
-            d.network, ["bsg.iu.edu", "bsg.sdsc.edu"],
-            seed=seed, config=config, log=d.resilience,
-        )
+        monkey = ChaosMonkey(d.network, list(providers), log=d.resilience)
 
         def paced_request(i: int) -> None:
             # a quarter second of user think-time between portal requests,
@@ -89,9 +98,9 @@ def main() -> None:
             d.network.clock.advance(0.25)
             client.call("supportsScheduler", "NQS")
 
-        return ChaosHarness(d.network, monkey).run(paced_request, 40)
+        return ChaosHarness(monkey).run(paced_request, schedule, 40)
 
-    first, second = one_run(2002), one_run(2002)
+    first, second = one_run(), one_run()
     print(f"   success rate          : {first.success_rate:.2f}")
     print(f"   faults injected       : {first.faults_injected}")
     print(f"   identical event streams: {first.events == second.events}")

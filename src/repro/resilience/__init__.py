@@ -13,8 +13,8 @@ common error vocabulary); this package makes it *useful* under failure:
   rotates across them on failure.  It is imported from its submodule: it
   builds on the SOAP client, which itself imports this package's policy
   module, so the package root stays free of it.
-- :mod:`repro.resilience.chaos` — a seeded, deterministic chaos harness
-  driving fault schedules into the virtual network.
+- :mod:`repro.resilience.chaos` — the chaos monkey and harness, which
+  inject nemesis fault schedules into the virtual network.
 - :mod:`repro.resilience.events` — every retry/trip/failover/shed recorded
   as an :class:`repro.faults.ErrorReport` for the monitoring portlet.
 """
@@ -24,12 +24,7 @@ from repro.resilience.breaker import (
     CircuitBreaker,
     CircuitBreakerPolicy,
 )
-from repro.resilience.chaos import (
-    ChaosConfig,
-    ChaosHarness,
-    ChaosMonkey,
-    ChaosReport,
-)
+from repro.resilience.chaos import ChaosHarness, ChaosMonkey, ChaosReport
 from repro.resilience.events import ResilienceLog
 from repro.resilience.policy import (
     NO_RETRY,
@@ -40,7 +35,6 @@ from repro.resilience.policy import (
 
 __all__ = [
     "BreakerOpenError",
-    "ChaosConfig",
     "ChaosHarness",
     "ChaosMonkey",
     "ChaosReport",

@@ -1,31 +1,31 @@
-"""A seeded chaos harness over the virtual network.
+"""Fault injection over the virtual network, driven by nemesis schedules.
 
 The ROADMAP asks for a portal that gracefully handles "as many scenarios as
-you can imagine"; this module imagines them on a schedule.  A
-:class:`ChaosMonkey` drives random fault injection — hosts taken down and
-repaired, transport-failure bursts, latency spikes, flapping — from a
-seeded PRNG against the :class:`~repro.transport.network.VirtualNetwork`,
-and a :class:`ChaosHarness` interleaves those faults with a workload.
-Everything runs on the virtual clock, so a chaos run with a fixed seed is
-*fully deterministic*: two runs produce identical
+you can imagine"; this module makes them happen on a schedule.  A
+:class:`ChaosMonkey` interprets nemesis events — hosts crashed and
+repaired, transport-failure bursts, latency spikes, flapping, region
+partitions, full disks, clock stalls — against the
+:class:`~repro.transport.network.VirtualNetwork`, and a
+:class:`ChaosHarness` interleaves one schedule of them with a workload.
+:mod:`repro.simtest.nemesis` writes the schedules (seeded, composable,
+replayable ``repro.simtest.schedule/v1`` documents) in the event kinds
+defined here, so this package never imports the rig built on top of it.
+Everything runs on the virtual clock, so a schedule replays to identical
 :class:`~repro.faults.ErrorReport` streams, which is what makes resilience
 regressions diffable.
 
-The fault *primitives* (``inject_take_down``, ``inject_fault_burst``,
-``inject_latency_spike``, ``inject_flap``, ``inject_partition``) are public:
-the seeded :meth:`ChaosMonkey.step` draw uses them, and so does the
-simulation-testing rig (:mod:`repro.simtest`), which composes them into
-explicit nemesis schedules instead of probabilistic draws.  Deferred
-effects (repairs, partition heals) live in one pending-event queue ordered
-by ``(due time, event id)`` — event ids are assigned in scheduling order
-from a single counter, so two events due at the same virtual tick always
-apply in the same total order and same-seed schedules are byte-identical.
+Every deferred effect — a repair, a partition heal, the end of a latency
+spike, the end of a full disk — lives in one pending-event queue ordered
+by ``(due time, event id)``: ids come from one counter in scheduling
+order, so two effects due at the same virtual tick always apply in the
+same total order.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
-import random
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,50 +41,32 @@ LATENCY_SPIKE = "Chaos.LatencySpike"
 FLAP = "Chaos.Flap"
 PARTITION = "Chaos.Partition"
 PARTITION_HEAL = "Chaos.PartitionHeal"
+DISK_FULL = "Chaos.DiskFull"
 
+# -- the nemesis event kinds ChaosMonkey.apply interprets --------------------
+CRASH_KIND = "crash"
+PARTITION_KIND = "partition"
+FLAP_KIND = "flap"
+BREAKER_FLAP_KIND = "breaker-flap"
+LATENCY_SPIKE_KIND = "latency-spike"
+DISK_FULL_KIND = "disk-full"
+CLOCK_STALL_KIND = "clock-stall"
 
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Per-step, per-host fault probabilities and magnitudes.
-
-    The ``p_partition`` family only applies when the monkey was built with
-    ``regions`` (named host groups): each step may then cut a pair of
-    regions apart — fully, one-way, or partially (per-attempt loss) — and
-    heal the cut after a drawn duration.  Defaults keep partitions off so
-    existing seeded schedules replay unchanged.
-    """
-
-    p_take_down: float = 0.04
-    down_duration: tuple[float, float] = (2.0, 15.0)
-    p_fault_burst: float = 0.08
-    burst_size: tuple[int, int] = (1, 3)
-    p_latency_spike: float = 0.06
-    spike_magnitude: tuple[float, float] = (0.5, 3.0)
-    p_flap: float = 0.02
-    flap_phases: tuple[float, float] = (1.0, 4.0)
-    p_partition: float = 0.0
-    partition_duration: tuple[float, float] = (2.0, 10.0)
-    #: split-brain shapes to draw from (see VirtualNetwork.partition*)
-    partition_modes: tuple[str, ...] = ("full", "oneway", "partial")
-    partition_loss: float = 0.75
-
-
-#: a config with every probability zero — the simtest rig uses it to drive
-#: the primitives from an explicit schedule with no random draws at all
-SCHEDULED_ONLY = ChaosConfig(
-    p_take_down=0.0, p_fault_burst=0.0, p_latency_spike=0.0, p_flap=0.0,
-    p_partition=0.0,
+KINDS = (
+    CRASH_KIND, PARTITION_KIND, FLAP_KIND, BREAKER_FLAP_KIND,
+    LATENCY_SPIKE_KIND, DISK_FULL_KIND, CLOCK_STALL_KIND,
 )
+#: the faults of a host's network presence: a host the monkey holds down
+#: (its repair still pending) takes none of them until it is back
+HOST_FAULT_KINDS = (CRASH_KIND, FLAP_KIND, BREAKER_FLAP_KIND, LATENCY_SPIKE_KIND)
 
 
 class ChaosMonkey:
-    """Injects a random-but-reproducible fault schedule into the network.
+    """Injects faults into the network and undoes them when they fall due.
 
-    Call :meth:`step` between workload iterations: due repairs and partition
-    heals are applied first in ``(due, event id)`` order, then each target
-    host independently draws one fault — or none — for this step.  Hosts in
-    ``protected`` are never touched (take the registry down and nothing can
-    discover the way around the outage).
+    :meth:`apply` interprets one nemesis event through the ``inject_*``
+    primitives; :meth:`apply_due` applies the deferred effects due by now;
+    :meth:`heal_all` applies every one of them at once.
     """
 
     def __init__(
@@ -92,17 +74,13 @@ class ChaosMonkey:
         network: VirtualNetwork,
         hosts: list[str],
         *,
-        seed: int = 0,
-        config: ChaosConfig | None = None,
         log: ResilienceLog | None = None,
-        protected: tuple[str, ...] = (),
         rebuilders: dict[str, Callable[[], Any]] | None = None,
         regions: dict[str, tuple[str, ...]] | None = None,
     ):
         self.network = network
         self.clock = network.clock
-        self.hosts = sorted(set(hosts) - set(protected))
-        self.config = config or ChaosConfig()
+        self.hosts = sorted(set(hosts))
         # not `log or ...`: an empty ResilienceLog has len 0 and is falsy
         self.log = log if log is not None else ResilienceLog()
         self.faults_injected = 0
@@ -111,19 +89,13 @@ class ChaosMonkey:
         #: disk survived, so a durable rebuilder replays its journals)
         self.rebuilders = dict(rebuilders or {})
         self.restarts_performed = 0
-        #: region name -> the hosts (and client sources) living in it; when
-        #: set, ``config.p_partition`` cuts pairs of regions apart
+        #: region name -> the hosts (and client sources) living in it, the
+        #: sides a partition event cuts apart
         self.regions = {
             name: tuple(members) for name, members in (regions or {}).items()
         }
         self.partitions_injected = 0
-        self._rng = random.Random(seed)
-        self._down: set[str] = set()
-        #: the unified deferred-effect queue: (due time, event id, action,
-        #: payload).  Event ids come from one counter in scheduling order,
-        #: so sorting by (due, id) gives every pending effect — repair or
-        #: partition heal — one deterministic total order even when several
-        #: fall due at the same virtual tick.
+        #: the deferred-effect queue: (due time, event id, action, payload)
         self._pending: list[tuple[float, int, str, Any]] = []
         self._event_ids = itertools.count(1)
 
@@ -140,19 +112,55 @@ class ChaosMonkey:
         self._pending.append((due, next(self._event_ids), action, payload))
 
     def pending_events(self) -> list[tuple[float, int, str, Any]]:
-        """The deferred repairs/heals still queued, in application order."""
+        """The deferred effects still queued, in application order."""
         return sorted(self._pending)
 
-    def has_active_partition(self) -> bool:
-        """Whether a monkey-injected partition is still waiting to heal."""
-        return any(action == "heal-partition" for _, _, action, _ in self._pending)
+    def _holds_down(self, host: str) -> bool:
+        """Whether *host* is crashed or flapping with its repair pending."""
+        return any(
+            action == "repair" and payload == host
+            for _, _, action, payload in self._pending
+        )
 
-    # -- the fault primitives (public: simtest nemeses call these) ----------
+    # -- the one interpreter of a nemesis event ------------------------------
+
+    def apply(self, event: Any) -> None:
+        """Inject one nemesis event: its ``kind`` is one of :data:`KINDS`
+        and its ``args`` hold the draws the nemesis made for it (see
+        :class:`repro.simtest.nemesis.NemesisEvent`)."""
+        kind, args = event.kind, event.args
+        if kind in HOST_FAULT_KINDS and self._holds_down(args["host"]):
+            return
+        if kind == CRASH_KIND:
+            self.inject_take_down(args["host"], float(args["outage"]))
+        elif kind == PARTITION_KIND:
+            self.inject_partition(
+                args["a"], args["b"], args["mode"], float(args["duration"]),
+                loss=float(args["loss"]),
+            )
+        elif kind == FLAP_KIND:
+            self.inject_flap(
+                args["host"], float(args["up"]), float(args["down"]),
+                float(args["duration"]),
+            )
+        elif kind == BREAKER_FLAP_KIND:
+            self.inject_fault_burst(args["host"], int(args["size"]))
+        elif kind == LATENCY_SPIKE_KIND:
+            self.inject_latency_spike(
+                args["host"], float(args["magnitude"]), float(args["duration"])
+            )
+        elif kind == DISK_FULL_KIND:
+            self.inject_disk_full(args["host"], float(args["duration"]))
+        elif kind == CLOCK_STALL_KIND:
+            self.clock.advance(float(args["seconds"]))
+        else:
+            raise ValueError(f"unknown nemesis event kind {kind!r}")
+
+    # -- the fault primitives ------------------------------------------------
 
     def inject_take_down(self, host: str, duration: float) -> None:
         """Kill *host* now; schedule its repair (and durable rebuild)."""
         self.network.take_down(host)
-        self._down.add(host)
         self._schedule(self.clock.now + duration, "repair", host)
         self.faults_injected += 1
         self._record(
@@ -177,14 +185,16 @@ class ChaosMonkey:
         return True
 
     def inject_latency_spike(
-        self, host: str, magnitude: float, probability: float = 1.0
+        self, host: str, magnitude: float, duration: float
     ) -> None:
-        """Add *magnitude* virtual seconds to requests hitting *host*."""
-        self.network.set_latency_spike(host, probability, magnitude)
+        """Add *magnitude* virtual seconds to every request hitting *host*
+        until the spike ends *duration* seconds from now."""
+        self.network.set_latency_spike(host, 1.0, magnitude)
+        self._schedule(self.clock.now + duration, "end-spike", host)
         self.faults_injected += 1
         self._record(
             LATENCY_SPIKE, f"+{magnitude:.3f}s latency at {host}", host,
-            magnitude=f"{magnitude:.6f}",
+            magnitude=f"{magnitude:.6f}", duration=f"{duration:.6f}",
         )
 
     def inject_flap(
@@ -192,13 +202,22 @@ class ChaosMonkey:
     ) -> None:
         """Make *host* flap up/down until a repair ends the episode."""
         self.network.set_flapping(host, up_for, down_for)
-        self._down.add(host)  # treat as faulted until repaired
         self._schedule(self.clock.now + duration, "repair", host)
         self.faults_injected += 1
         self._record(
             FLAP,
             f"{host} flapping {up_for}/{down_for}s for {duration:.3f}s",
             host,
+            duration=f"{duration:.6f}",
+        )
+
+    def inject_disk_full(self, host: str, duration: float) -> None:
+        """Refuse journal appends on *host*'s disk until space frees up."""
+        self.network.disk(host).set_full(True)
+        self._schedule(self.clock.now + duration, "free-disk", host)
+        self.faults_injected += 1
+        self._record(
+            DISK_FULL, f"{host} disk full for {duration:.3f}s", host,
             duration=f"{duration:.6f}",
         )
 
@@ -209,24 +228,21 @@ class ChaosMonkey:
         mode: str,
         duration: float,
         *,
-        loss: float | None = None,
+        loss: float = 0.75,
     ) -> int:
         """Cut regions *region_a* and *region_b* apart; schedule the heal.
 
         ``mode`` is one of ``full`` / ``oneway`` / ``partial`` (see
-        :class:`~repro.transport.network.PartitionSpec`); *loss* overrides
-        the config's per-attempt drop probability for partial cuts.
-        Returns the network partition id.
+        :class:`~repro.transport.network.PartitionSpec`); *loss* is a
+        partial cut's per-attempt drop probability.  Returns the network
+        partition id.
         """
         side_a = set(self.regions[region_a])
         side_b = set(self.regions[region_b])
         if mode == "oneway":
             partition_id = self.network.partition_oneway(side_a, side_b)
         elif mode == "partial":
-            partition_id = self.network.partition_partial(
-                side_a, side_b,
-                self.config.partition_loss if loss is None else loss,
-            )
+            partition_id = self.network.partition_partial(side_a, side_b, loss)
         else:
             partition_id = self.network.partition(side_a, side_b)
         label = f"{region_a}|{region_b}"
@@ -248,18 +264,16 @@ class ChaosMonkey:
     # -- applying deferred effects -------------------------------------------
 
     def apply_due(self, now: float | None = None) -> None:
-        """Apply every repair/heal due by *now* in ``(due, id)`` order."""
+        """Apply every deferred effect due by *now* in ``(due, id)`` order."""
         if now is None:
             now = self.clock.now
         due = sorted(event for event in self._pending if event[0] <= now)
         self._pending = [event for event in self._pending if event[0] > now]
         for _due, _event_id, action, payload in due:
             if action == "repair":
-                host = payload
-                self.network.bring_up(host)
-                self._down.discard(host)
-                self._record(REPAIR, f"{host} repaired", host)
-                self._restart(host)
+                self.network.bring_up(payload)
+                self._record(REPAIR, f"{payload} repaired", payload)
+                self._restart(payload)
             elif action == "heal-partition":
                 partition_id, label = payload
                 self.network.heal_partition(partition_id)
@@ -267,61 +281,10 @@ class ChaosMonkey:
                     PARTITION_HEAL, f"partition {label} healed", label,
                     partition=partition_id,
                 )
-
-    def step(self) -> None:
-        """Apply due repairs and partition heals, then draw this step's
-        faults."""
-        now = self.clock.now
-        self.apply_due(now)
-
-        config = self.config
-        if self.regions and config.p_partition > 0:
-            self._maybe_partition()
-        for host in self.hosts:
-            if host in self._down:
-                continue
-            draw = self._rng.random()
-            if draw < config.p_take_down:
-                duration = self._rng.uniform(*config.down_duration)
-                self.inject_take_down(host, duration)
-            elif draw < config.p_take_down + config.p_fault_burst:
-                size = self._rng.randint(*config.burst_size)
-                self.inject_fault_burst(host, size)
-            elif draw < (
-                config.p_take_down + config.p_fault_burst + config.p_latency_spike
-            ):
-                magnitude = self._rng.uniform(*config.spike_magnitude)
-                self.inject_latency_spike(host, magnitude)
-            else:
-                # clear any lingering spike so they don't accumulate forever
-                self.network.set_latency_spike(host, 0.0, 0.0)
-                threshold = (
-                    config.p_take_down
-                    + config.p_fault_burst
-                    + config.p_latency_spike
-                    + config.p_flap
-                )
-                if draw < threshold:
-                    up_for, down_for = config.flap_phases
-                    duration = self._rng.uniform(*config.down_duration)
-                    self.inject_flap(host, up_for, down_for, duration)
-
-    def _maybe_partition(self) -> None:
-        """One seeded draw per step: maybe cut a pair of regions apart."""
-        config = self.config
-        if self._rng.random() >= config.p_partition:
-            return
-        if self.has_active_partition():
-            return  # one split-brain at a time keeps schedules analysable
-        names = sorted(self.regions)
-        if len(names) < 2:
-            return
-        region_a, region_b = self._rng.sample(names, 2)
-        mode = config.partition_modes[
-            self._rng.randrange(len(config.partition_modes))
-        ]
-        duration = self._rng.uniform(*config.partition_duration)
-        self.inject_partition(region_a, region_b, mode, duration)
+            elif action == "end-spike":
+                self.network.set_latency_spike(payload, 0.0, 0.0)
+            else:  # "free-disk"
+                self.network.disk(payload).set_full(False)
 
     def _restart(self, host: str) -> None:
         """Re-deploy a repaired host's services from its surviving disk."""
@@ -333,29 +296,10 @@ class ChaosMonkey:
         self._record(RESTART, f"{host} services rebuilt from journal", host)
 
     def heal_all(self) -> None:
-        """Repair everything immediately (end-of-run cleanup)."""
-        repaired = {
-            payload for _, _, action, payload in self._pending
-            if action == "repair"
-        } | set(self._down)
-        for _due, _event_id, action, payload in sorted(self._pending):
-            if action == "repair":
-                self.network.bring_up(payload)
-            elif action == "heal-partition":
-                partition_id, label = payload
-                self.network.heal_partition(partition_id)
-                self._record(
-                    PARTITION_HEAL, f"partition {label} healed", label,
-                    partition=partition_id,
-                )
-        self._pending.clear()
-        for host in list(self._down):
-            self.network.bring_up(host)
-        self._down.clear()
-        for host in sorted(repaired):
-            self._restart(host)
+        """Apply every pending effect now and disarm leftover failure
+        charges (end-of-run cleanup)."""
+        self.apply_due(math.inf)
         for host in self.hosts:
-            self.network.set_latency_spike(host, 0.0, 0.0)
             self.network.clear_failures(host)
 
 
@@ -375,25 +319,32 @@ class ChaosReport:
 
 
 class ChaosHarness:
-    """Runs a workload under a chaos monkey, collecting the event stream.
+    """Runs a workload under a nemesis schedule, collecting the event stream.
 
-    The workload is any callable taking the iteration index; client-visible
-    errors (portal errors and transport failures that escape the workload's
-    own resilience) are recorded, not raised — the report says how well the
+    Before iteration ``i`` the monkey applies the deferred effects due by
+    now, then every scheduled event with ``t <= i``: a schedule's times
+    count iterations, its durations are virtual seconds.  The workload is
+    any callable taking the iteration index; client-visible errors (portal
+    errors and transport failures that escape the workload's own
+    resilience) are recorded, not raised — the report says how well the
     resilience layer absorbed the schedule.
     """
 
-    def __init__(self, network: VirtualNetwork, monkey: ChaosMonkey):
-        self.network = network
+    def __init__(self, monkey: ChaosMonkey):
         self.monkey = monkey
         self.log = monkey.log
 
     def run(
-        self, workload: Callable[[int], Any], iterations: int
+        self, workload: Callable[[int], Any], schedule: Any, iterations: int
     ) -> ChaosReport:
+        """Drive *workload* for *iterations* under *schedule* (a
+        :class:`repro.simtest.nemesis.NemesisSchedule`), then heal."""
         report = ChaosReport(iterations=iterations)
+        events = collections.deque(schedule.events)
         for index in range(iterations):
-            self.monkey.step()
+            self.monkey.apply_due()
+            while events and events[0].t <= index:
+                self.monkey.apply(events.popleft())
             try:
                 workload(index)
             except (PortalError, TransportError) as err:

@@ -20,6 +20,7 @@ oracles actually catch what they claim to.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from repro.grid.jobs import JobSpec
 from repro.loadmgmt.metascheduler import METASCHEDULER_NAMESPACE
 from repro.observability import Observability, default_slos
 from repro.portal.uiserver import PortalDeployment
-from repro.resilience.chaos import SCHEDULED_ONLY, ChaosMonkey
+from repro.resilience.chaos import ChaosMonkey
 from repro.resilience.policy import RetryPolicy, set_hop_listener
 from repro.services.jobsubmit import (
     GLOBUSRUN_NAMESPACE,
@@ -175,7 +176,6 @@ class SimWorld:
     _clients: list = field(default_factory=list)
     _hop_cursor: int = 0
     _resolved: set = field(default_factory=set)
-    _disk_full_until: dict = field(default_factory=dict)
 
     @property
     def clock(self):
@@ -348,8 +348,6 @@ class SimulationRun:
         monkey = ChaosMonkey(
             network,
             [GLOBUSRUN_HOST] + list(replication.hosts()),
-            seed=self._seed_int("chaos"),
-            config=SCHEDULED_ONLY,
             log=deployment.resilience,
             regions=replication.region_groups(),
         )
@@ -407,41 +405,7 @@ class SimulationRun:
 
         self._wf_runtime = WorkflowRuntime.from_deployment(world.deployment)
 
-    # -- fault-event application ----------------------------------------------
-
-    def _apply_event(self, world: SimWorld, event) -> None:
-        monkey, network = world.monkey, world.network
-        args = event.args
-        if event.kind == nem.PARTITION:
-            monkey.inject_partition(
-                args["a"], args["b"], args.get("mode", "full"),
-                float(args["duration"]), loss=args.get("loss"),
-            )
-        elif event.kind == nem.CRASH:
-            host = args["host"]
-            if network.is_up(host):
-                monkey.inject_take_down(host, float(args["outage"]))
-        elif event.kind == nem.CRASH_MID_WRITE:
-            self._crash_mid_write(world, args["host"])
-        elif event.kind == nem.FLAP:
-            monkey.inject_flap(
-                args["host"], float(args["up"]), float(args["down"]),
-                float(args["duration"]),
-            )
-        elif event.kind == nem.BREAKER_FLAP:
-            monkey.inject_fault_burst(args["host"], int(args["size"]))
-        elif event.kind == nem.LATENCY_SPIKE:
-            monkey.inject_latency_spike(args["host"], float(args["magnitude"]))
-        elif event.kind == nem.DISK_FULL:
-            host = args["host"]
-            network.disk(host).set_full(True)
-            world._disk_full_until[host] = (
-                world.clock.now + float(args["duration"])
-            )
-        elif event.kind == nem.CLOCK_STALL:
-            world.clock.advance(float(args["seconds"]))
-        else:
-            raise ValueError(f"unknown nemesis event kind {event.kind!r}")
+    # -- the one event kind the monkey cannot apply ----------------------------
 
     def _crash_mid_write(self, world: SimWorld, host: str) -> None:
         """Kill the globusrun process in the middle of resolving a batch,
@@ -472,12 +436,6 @@ class SimulationRun:
             world.client_errors += 1
         finally:
             service.crash_after_jobs = None
-
-    def _clear_expired_disk_full(self, world: SimWorld) -> None:
-        for host in sorted(world._disk_full_until):
-            if world.clock.now >= world._disk_full_until[host]:
-                world.network.disk(host).set_full(False)
-                del world._disk_full_until[host]
 
     # -- workload -------------------------------------------------------------
 
@@ -642,10 +600,6 @@ class SimulationRun:
     def _heal(self, world: SimWorld) -> None:
         world.phase = "heal"
         world.monkey.heal_all()
-        world.network.heal_partitions()
-        for disk in world.network.disks():
-            disk.set_full(False)
-        world._disk_full_until.clear()
         replication = world.deployment.replication
         rounds = 0
         while not replication.converged() and rounds < MAX_HEAL_ROUNDS:
@@ -677,15 +631,16 @@ class SimulationRun:
         set_hop_listener(world.hop_records.append)
         try:
             world.phase = "run"
-            pending = list(self.schedule.events)
-            index = 0
+            events = collections.deque(self.schedule.events)
             for tick in range(1, self.ticks + 1):
                 world.clock.advance(1.0)
-                while index < len(pending) and pending[index].t <= tick:
-                    self._apply_event(world, pending[index])
-                    index += 1
+                while events and events[0].t <= tick:
+                    event = events.popleft()
+                    if event.kind == nem.CRASH_MID_WRITE:
+                        self._crash_mid_write(world, event.args["host"])
+                    else:
+                        world.monkey.apply(event)
                 world.monkey.apply_due()
-                self._clear_expired_disk_full(world)
                 self._workload(world, tick)
                 self._check(world, "tick", violations, seen)
                 if violations and self.stop_on_violation:

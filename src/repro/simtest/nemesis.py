@@ -21,23 +21,25 @@ import json
 import random
 from dataclasses import dataclass
 
+from repro.resilience.chaos import (
+    BREAKER_FLAP_KIND as BREAKER_FLAP,
+    CLOCK_STALL_KIND as CLOCK_STALL,
+    CRASH_KIND as CRASH,
+    DISK_FULL_KIND as DISK_FULL,
+    FLAP_KIND as FLAP,
+    KINDS,
+    LATENCY_SPIKE_KIND as LATENCY_SPIKE,
+    PARTITION_KIND as PARTITION,
+)
+
 SCHEDULE_SCHEMA = "repro.simtest.schedule/v1"
 
-# -- event kinds (the vocabulary the schedule runner interprets) -------------
+# -- event kinds: the chaos monkey interprets its own; a crash mid-write
+# needs the simulation run's client, so the run interprets that one ----------
 
-CRASH = "crash"
 CRASH_MID_WRITE = "crash-mid-write"
-PARTITION = "partition"
-FLAP = "flap"
-BREAKER_FLAP = "breaker-flap"
-LATENCY_SPIKE = "latency-spike"
-DISK_FULL = "disk-full"
-CLOCK_STALL = "clock-stall"
 
-EVENT_KINDS = (
-    CRASH, CRASH_MID_WRITE, PARTITION, FLAP, BREAKER_FLAP, LATENCY_SPIKE,
-    DISK_FULL, CLOCK_STALL,
-)
+EVENT_KINDS = KINDS + (CRASH_MID_WRITE,)
 
 
 @dataclass(frozen=True)
@@ -289,6 +291,9 @@ class LatencySpikeNemesis(Nemesis):
     """Garbage-collection-pause-shaped latency added to one host."""
 
     name = "latency-spike"
+    #: how long a spike lasts, in virtual seconds: a pause, not a new
+    #: steady state, so the range is fixed
+    duration = (1.0, 3.0)
 
     def __init__(
         self,
@@ -306,6 +311,7 @@ class LatencySpikeNemesis(Nemesis):
             (t, LATENCY_SPIKE, {
                 "host": self.hosts[rng.randrange(len(self.hosts))],
                 "magnitude": round(rng.uniform(*self.magnitude), 6),
+                "duration": round(rng.uniform(*self.duration), 6),
             })
             for t in self._times(rng, ticks, self.every)
         ]

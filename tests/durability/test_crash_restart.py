@@ -19,7 +19,7 @@ from repro.durability.reconciler import (
 )
 from repro.grid.jobs import JobSpec
 from repro.grid.resources import build_testbed
-from repro.resilience.chaos import RESTART, ChaosConfig, ChaosMonkey
+from repro.resilience.chaos import RESTART, ChaosMonkey
 from repro.resilience.events import ResilienceLog
 from repro.services.jobsubmit import (
     GLOBUSRUN_NAMESPACE,
@@ -27,6 +27,7 @@ from repro.services.jobsubmit import (
     jobs_to_xml,
 )
 from repro.services.monitoring import deploy_monitoring
+from repro.simtest.nemesis import CrashNemesis, compose
 from repro.soap.client import SoapClient
 from repro.transport.network import TransportError, VirtualNetwork
 from repro.xmlutil.element import parse_xml
@@ -169,17 +170,17 @@ def test_chaos_monkey_restarts_via_rebuilder(network, ca):
     monkey = ChaosMonkey(
         network,
         [GLOBUSRUN_HOST],
-        seed=7,
-        config=ChaosConfig(p_take_down=1.0, down_duration=(1.0, 2.0)),
         log=log,
         rebuilders={GLOBUSRUN_HOST: rebuild},
     )
-    monkey.step()  # takes the host down
-    assert GLOBUSRUN_HOST in monkey._down
+    # p_take_down 1.0 on one host is a crash every step; apply the first
+    crash = compose(
+        CrashNemesis((GLOBUSRUN_HOST,), every=(0.5, 1.5), outage=(1.0, 2.0))
+    ).schedule(7, 2).events[0]
+    monkey.apply(crash)  # takes the host down
+    assert not network.is_up(GLOBUSRUN_HOST)
     network.clock.advance(5.0)
-    monkey.config = ChaosConfig(p_take_down=0.0, p_fault_burst=0.0,
-                                p_latency_spike=0.0, p_flap=0.0)
-    monkey.step()  # repair fires the rebuilder
+    monkey.apply_due()  # repair fires the rebuilder
     assert monkey.restarts_performed == 1
     assert RESTART in [e.code for e in log.events]
     client = SoapClient(

@@ -1,7 +1,8 @@
-"""Tier-2 soak: a seeded chaos schedule against the durable stack.
+"""Tier-2 soak: a seeded nemesis schedule against the durable stack.
 
 The monkey repeatedly kills and restarts the Globusrun host (restarts go
-through the journal-replay rebuilder); the workload keeps submitting keyed
+through the journal-replay rebuilder), between fault bursts, latency
+spikes and flapping; the workload keeps submitting keyed
 batches through a retrying client.  At the end, reconciliation must leave no
 orphans, every journal must verify, and the checker must find no lifecycle
 violations — at-least-once delivery with exactly-once execution.
@@ -14,7 +15,7 @@ from repro.durability.journal import Journal
 from repro.durability.reconciler import ReconcilerService
 from repro.grid.jobs import JobSpec
 from repro.grid.resources import build_testbed
-from repro.resilience.chaos import ChaosConfig, ChaosHarness, ChaosMonkey
+from repro.resilience.chaos import ChaosHarness, ChaosMonkey
 from repro.resilience.events import ResilienceLog
 from repro.resilience.policy import RetryPolicy
 from repro.services.jobsubmit import (
@@ -22,11 +23,29 @@ from repro.services.jobsubmit import (
     deploy_globusrun,
     jobs_to_xml,
 )
+from repro.simtest.nemesis import (
+    BreakerFlapNemesis,
+    CrashNemesis,
+    FlapNemesis,
+    LatencySpikeNemesis,
+    compose,
+)
 from repro.soap.client import SoapClient
 from repro.transport.network import VirtualNetwork
 
 IDENTITY = "/O=G/CN=portal"
 GLOBUSRUN_HOST = "globusrun.sdsc.edu"
+
+#: p_take_down 0.25, p_fault_burst 0.08, p_latency_spike 0.06 and p_flap
+#: 0.02 on the one host, as gap ranges (see tests/resilience/test_chaos.py)
+SOAK_MIX = compose(
+    CrashNemesis((GLOBUSRUN_HOST,), every=(2.0, 6.0), outage=(1.0, 5.0)),
+    BreakerFlapNemesis((GLOBUSRUN_HOST,), every=(6.25, 18.75), size=(1, 3)),
+    LatencySpikeNemesis((GLOBUSRUN_HOST,), every=(8.33, 25.0),
+                        magnitude=(0.5, 3.0)),
+    FlapNemesis((GLOBUSRUN_HOST,), every=(25.0, 75.0), phases=(1.0, 4.0),
+                duration=(1.0, 5.0)),
+)
 
 
 @pytest.mark.tier2_recovery
@@ -54,8 +73,6 @@ def test_crash_restart_soak(seed):
     monkey = ChaosMonkey(
         network,
         [GLOBUSRUN_HOST],
-        seed=seed,
-        config=ChaosConfig(p_take_down=0.25, down_duration=(1.0, 5.0)),
         log=log,
         rebuilders={GLOBUSRUN_HOST: rebuild},
     )
@@ -76,8 +93,9 @@ def test_crash_restart_soak(seed):
         )
         client.call("run_xml", xml, idempotency_key=f"soak-{seed}-{index}")
 
-    harness = ChaosHarness(network, monkey)
-    report = harness.run(workload, iterations=30)
+    report = ChaosHarness(monkey).run(
+        workload, SOAK_MIX.schedule(seed, 30), iterations=30
+    )
     assert report.iterations == 30
 
     # drain whatever the crashes orphaned

@@ -5,7 +5,7 @@ traces every time."""
 import pytest
 
 from repro.observability.runtime import Observability
-from repro.resilience.chaos import ChaosConfig, ChaosHarness, ChaosMonkey
+from repro.resilience.chaos import ChaosHarness, ChaosMonkey
 from repro.resilience.events import FAILOVER, RETRY, ResilienceLog
 from repro.resilience.failover import FailoverClient
 from repro.resilience.policy import RetryPolicy
@@ -15,20 +15,35 @@ from repro.services.batchscript import (
     SdscBatchScriptGenerator,
     deploy_batch_script_generator,
 )
+from repro.simtest.nemesis import (
+    BreakerFlapNemesis,
+    CrashNemesis,
+    LatencySpikeNemesis,
+    compose,
+)
 from repro.soap.client import SoapClient
 from repro.transport.network import VirtualNetwork
 
 IU_HOST = "bsg.iu.edu"
 SDSC_HOST = "bsg.sdsc.edu"
 
+#: latency spikes only, at p_latency_spike 0.9 per host per step over both
+#: hosts: a mean gap of 1 / 1.8 steps (see tests/resilience/test_chaos.py)
+SPIKES = compose(
+    LatencySpikeNemesis(
+        (IU_HOST, SDSC_HOST), every=(0.28, 0.83), magnitude=(0.5, 3.0)
+    )
+)
+
 
 def run_portal_request(seed: int) -> Observability:
     """One traced portal request over the failover-portal scenario.
 
-    A chaos monkey (latency spikes only — its events, like every other
-    resilience event, land on the open span) runs around a request that is
-    guaranteed to retry once (an injected transport fault on IU) and to
-    fail over once (IU taken down mid-request).
+    A chaos monkey applies a schedule of latency spikes (its events, like
+    every other resilience event, land on the open span) around a request
+    that is guaranteed to retry once (an injected transport fault on IU)
+    and to fail over once (IU taken down mid-request): the events due by
+    step 1 before the calls, the rest by step 2 after them.
     """
     network = VirtualNetwork()
     obs = Observability.install(network, seed=seed)
@@ -50,22 +65,26 @@ def run_portal_request(seed: int) -> Observability:
         network, [iu_url, sdsc_url], BSG_NAMESPACE, source="portal.npaci.edu",
         sticky=True, resilience_log=log, service_name="BSG", retry_seed=seed,
     )
-    monkey = ChaosMonkey(
-        network, [IU_HOST, SDSC_HOST], seed=seed, log=log,
-        config=ChaosConfig(p_take_down=0.0, p_fault_burst=0.0,
-                           p_latency_spike=0.9, p_flap=0.0),
-    )
+    monkey = ChaosMonkey(network, [IU_HOST, SDSC_HOST], log=log)
+    schedule = SPIKES.schedule(seed, 2)
+
+    def step(index: int) -> None:
+        monkey.apply_due()
+        for event in schedule.events:
+            if index - 1 < event.t <= index:
+                monkey.apply(event)
+
     with obs.tracer.span(
         "portal request", kind="server", service="portal",
         host="portal.npaci.edu",
     ):
-        monkey.step()
+        step(1)
         network.fail_next(IU_HOST, 1)
         assert retrying.call("supportsScheduler", "PBS") is True
         network.take_down(IU_HOST)
         assert "LSF" in failover.call("listSchedulers")
         network.bring_up(IU_HOST)
-        monkey.step()
+        step(2)
     Observability.uninstall(network)
     return obs
 
@@ -137,20 +156,24 @@ def test_chaos_soak_traces_stay_structurally_valid():
             ),
         )
         monkey = ChaosMonkey(
-            deployment.network, [IU_HOST, SDSC_HOST], seed=seed,
+            deployment.network, [IU_HOST, SDSC_HOST],
             log=deployment.resilience,
-            config=ChaosConfig(p_take_down=0.03, down_duration=(0.5, 2.0),
-                               p_fault_burst=0.08, burst_size=(1, 2),
-                               p_flap=0.0),
         )
+        # p_take_down 0.03, p_fault_burst 0.08 and p_latency_spike 0.06
+        # per host over both hosts, as gap ranges
+        hosts = (IU_HOST, SDSC_HOST)
+        schedule = compose(
+            CrashNemesis(hosts, every=(8.33, 25.0), outage=(0.5, 2.0)),
+            BreakerFlapNemesis(hosts, every=(3.125, 9.375), size=(1, 2)),
+            LatencySpikeNemesis(hosts, every=(4.17, 12.5),
+                                magnitude=(0.5, 3.0)),
+        ).schedule(seed, 40)
 
         def request(i: int) -> None:
             deployment.network.clock.advance(0.25)
             client.call("supportsScheduler", "NQS")
 
-        harness_report = ChaosHarness(deployment.network, monkey).run(
-            request, 40
-        )
+        harness_report = ChaosHarness(monkey).run(request, schedule, 40)
         obs = deployment.observability
         Observability.uninstall(deployment.network)
         return obs, harness_report

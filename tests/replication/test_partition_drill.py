@@ -1,9 +1,10 @@
 """The disaster drill: partitions and crashes mid-write, then convergence.
 
-A seeded :class:`ChaosMonkey` drives region partitions (full, one-way,
+A seeded nemesis schedule drives region partitions (full, one-way,
 partial), host crashes with rebuild-from-nothing restarts, fault bursts,
-and latency spikes against a three-region topology while a workload keeps
-writing to the registry and the quorum context store.  The acceptance
+and latency spikes through a :class:`ChaosMonkey` against a three-region
+topology while a workload keeps writing to the registry and the quorum
+context store.  The acceptance
 criteria, asserted per run:
 
 - **deterministic convergence** — after the heal, every region holds
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,27 +35,49 @@ from repro.replication import MultiRegionReplication
 from repro.resilience.chaos import (
     PARTITION,
     PARTITION_HEAL,
-    ChaosConfig,
     ChaosHarness,
     ChaosMonkey,
 )
 from repro.resilience.events import STALE_READ, ResilienceLog
+from repro.simtest.nemesis import (
+    BreakerFlapNemesis,
+    CrashNemesis,
+    LatencySpikeNemesis,
+    PartitionNemesis,
+    compose,
+)
 from repro.transport.network import VirtualNetwork
 
 REGIONS = ("iu", "ncsa", "sdsc")
-
-DRILL_CONFIG = ChaosConfig(
-    p_take_down=0.06,
-    down_duration=(2.0, 8.0),
-    p_fault_burst=0.04,
-    burst_size=(1, 2),
-    p_latency_spike=0.05,
-    p_flap=0.0,
-    p_partition=0.25,
-    partition_duration=(2.0, 8.0),
-)
+SOAK_SEEDS = (3, 11, 29)
 
 MAX_HEAL_ROUNDS = 10
+
+
+def _gaps(p: float, hosts: int) -> tuple[float, float]:
+    """The nemesis gap range of a per-host, per-step probability *p*: a
+    mean gap of ``1 / (p * hosts)`` iterations (see
+    tests/resilience/test_chaos.py)."""
+    mean = 1.0 / (p * hosts)
+    return (round(mean / 2, 2), round(3 * mean / 2, 2))
+
+
+def drill_schedule(seed: int, topo: MultiRegionReplication, iterations: int):
+    """The drill's faults: p_take_down 0.06, p_fault_burst 0.04 and
+    p_latency_spike 0.05 per host, and p_partition 0.25 per step with cuts
+    of 2-8 s.  A cut's gap never undercuts the longest cut, so one
+    split-brain at a time keeps each run analysable."""
+    hosts = tuple(topo.hosts())
+    return compose(
+        PartitionNemesis(
+            tuple(topo.region_groups()), every=(8.0, 16.0), duration=(2.0, 8.0)
+        ),
+        CrashNemesis(hosts, every=_gaps(0.06, len(hosts)), outage=(2.0, 8.0)),
+        BreakerFlapNemesis(hosts, every=_gaps(0.04, len(hosts)), size=(1, 2)),
+        LatencySpikeNemesis(
+            hosts, every=_gaps(0.05, len(hosts)), magnitude=(0.5, 3.0)
+        ),
+    ).schedule(seed, iterations)
 
 
 def run_drill(seed: int, *, regions=REGIONS, iterations: int = 60) -> dict:
@@ -66,13 +90,10 @@ def run_drill(seed: int, *, regions=REGIONS, iterations: int = 60) -> dict:
     monkey = ChaosMonkey(
         network,
         topo.hosts(),
-        seed=seed,
-        config=DRILL_CONFIG,
         log=log,
         rebuilders=topo.rebuilders(),
         regions=topo.region_groups(),
     )
-    harness = ChaosHarness(network, monkey)
     rng = random.Random(seed)
     acked: list[int] = []
     max_read_lag = 0
@@ -114,7 +135,9 @@ def run_drill(seed: int, *, regions=REGIONS, iterations: int = 60) -> dict:
         nonlocal max_read_lag
         max_read_lag = max(max_read_lag, answer["lag"])
 
-    report = harness.run(workload, iterations)
+    report = ChaosHarness(monkey).run(
+        workload, drill_schedule(seed, topo, iterations), iterations
+    )
 
     # -- the heal: bring everything back, measure time to convergence --------
     heal_started = network.clock.now
@@ -210,9 +233,8 @@ def test_control_without_replication_loses_availability():
 def test_partition_drill_soak_and_benchmark():
     """The full drill across seeds; the verdict lands in
     ``BENCH_replication.json`` for the CI artifact."""
-    seeds = (3, 11, 29)
     runs = []
-    for seed in seeds:
+    for seed in SOAK_SEEDS:
         result = run_drill(seed=seed, iterations=120)
         assert_drill_invariants(result)
         rerun = run_drill(seed=seed, iterations=120)
@@ -224,7 +246,7 @@ def test_partition_drill_soak_and_benchmark():
 
     controls = [
         run_drill(seed=seed, iterations=120, regions=("iu",))
-        for seed in seeds
+        for seed in SOAK_SEEDS
     ]
     mean = lambda rs: sum(r["success_rate"] for r in rs) / len(rs)
     assert mean(controls) < mean(runs)
@@ -232,6 +254,10 @@ def test_partition_drill_soak_and_benchmark():
     out = Path(__file__).resolve().parents[2] / "BENCH_replication.json"
     out.write_text(json.dumps({
         "benchmark": "multi-region partition disaster drill",
+        "command": "PYTHONPATH=src python -m pytest -q -m tier2_partition "
+                   "tests/replication/",
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        "seeds": list(SOAK_SEEDS),
         "regions": list(REGIONS),
         "iterations": 120,
         "replicated": [

@@ -1,6 +1,14 @@
-"""Seeded chaos runs are deterministic and mostly absorbed by the
-resilience layer.  The acceptance criterion: two runs with the same seed
-produce *identical* ErrorReport streams."""
+"""Chaos runs replay their nemesis schedule deterministically and are mostly
+absorbed by the resilience layer.  The acceptance criterion: two runs of
+the same schedule produce *identical* ErrorReport streams.
+
+Each mix's nemesis gaps keep the fault rates of the per-host, per-step
+probabilities it replaces: a probability ``p`` over ``h`` hosts is a mean
+gap of ``m = 1 / (p * h)`` iterations, drawn uniformly from
+``(m / 2, 3 * m / 2)`` (rounded to two decimals).  A partition was drawn once per step, at most one
+cut at a time: its gap starts at the longest cut and adds ``1 / p`` on
+average, ``(longest, longest + 2 / p)``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +18,6 @@ from repro.resilience.breaker import CircuitBreakerPolicy
 from repro.resilience.chaos import (
     PARTITION,
     PARTITION_HEAL,
-    ChaosConfig,
     ChaosHarness,
     ChaosMonkey,
 )
@@ -23,13 +30,36 @@ from repro.services.batchscript import (
     SdscBatchScriptGenerator,
     deploy_batch_script_generator,
 )
+from repro.simtest import nemesis as nem
+from repro.simtest.nemesis import (
+    BreakerFlapNemesis,
+    CrashNemesis,
+    FlapNemesis,
+    LatencySpikeNemesis,
+    NemesisEvent,
+    NemesisSchedule,
+    PartitionNemesis,
+    compose,
+)
 from repro.transport.network import VirtualNetwork
 
-HOSTS = ["bsg.iu.edu", "bsg.sdsc.edu"]
+HOSTS = ("bsg.iu.edu", "bsg.sdsc.edu")
+
+#: p_take_down 0.04, p_fault_burst 0.08, p_latency_spike 0.06 and p_flap
+#: 0.02 per host, over both hosts
+DEFAULT_MIX = compose(
+    CrashNemesis(HOSTS, every=(6.25, 18.75), outage=(2.0, 15.0)),
+    BreakerFlapNemesis(HOSTS, every=(3.125, 9.375), size=(1, 3)),
+    LatencySpikeNemesis(HOSTS, every=(4.17, 12.5), magnitude=(0.5, 3.0)),
+    FlapNemesis(HOSTS, every=(12.5, 37.5), phases=(1.0, 4.0),
+                duration=(2.0, 15.0)),
+)
 
 
-def run_chaos(seed: int, iterations: int, config: ChaosConfig | None = None):
-    """One complete, self-contained chaos run (fresh network every time)."""
+def run_chaos(seed: int, iterations: int, mix=DEFAULT_MIX, *, schedule=None,
+              regions=None):
+    """One complete, self-contained chaos run (fresh network every time)
+    under *schedule*, by default *mix*'s schedule for *seed*."""
     network = VirtualNetwork(seed=seed)
     endpoints = [
         deploy_batch_script_generator(network, IuBatchScriptGenerator(),
@@ -49,7 +79,7 @@ def run_chaos(seed: int, iterations: int, config: ChaosConfig | None = None):
         resilience_log=log,
         retry_seed=seed,
     )
-    monkey = ChaosMonkey(network, HOSTS, seed=seed, config=config, log=log)
+    monkey = ChaosMonkey(network, list(HOSTS), log=log, regions=regions)
 
     def workload(index: int) -> None:
         if index % 3 == 0:
@@ -59,13 +89,15 @@ def run_chaos(seed: int, iterations: int, config: ChaosConfig | None = None):
         else:
             client.call("supportsScheduler", "PBS")
 
-    return ChaosHarness(network, monkey).run(workload, iterations)
+    if schedule is None:
+        schedule = mix.schedule(seed, iterations)
+    return ChaosHarness(monkey).run(workload, schedule, iterations)
 
 
 def test_fixed_seed_is_deterministic():
     first = run_chaos(seed=42, iterations=60)
     second = run_chaos(seed=42, iterations=60)
-    # the full event streams — chaos schedule, retries, breaker
+    # the full event streams — injected faults, retries, breaker
     # transitions, failovers, client errors — are identical
     assert first.events == second.events
     assert first.successes == second.successes
@@ -80,15 +112,41 @@ def test_different_seeds_diverge():
     ).events
 
 
+def test_schedule_read_back_from_json_replays_the_same_event_stream():
+    """A soak's schedule is a complete repro: written out as
+    ``repro.simtest.schedule/v1`` JSON and read back, it replays to the
+    identical resilience event stream."""
+    schedule = DEFAULT_MIX.schedule(77, 120)
+    copy = NemesisSchedule.from_json(schedule.to_json())
+    assert copy == schedule
+    first = run_chaos(seed=77, iterations=120, schedule=schedule)
+    replay = run_chaos(seed=77, iterations=120, schedule=copy)
+    assert first.faults_injected > 0
+    assert replay.events == first.events
+    assert replay.client_errors == first.client_errors
+
+
+def test_legacy_schedules_replay_unchanged_without_regions():
+    """A schedule without partition events replays byte-identically, and
+    giving the monkey regions to cut changes nothing about it."""
+    first = run_chaos(seed=77, iterations=120)
+    second = run_chaos(seed=77, iterations=120,
+                       regions={"iu": (HOSTS[0],), "sdsc": (HOSTS[1],)})
+    assert first.faults_injected > 0
+    assert first.events == second.events
+    assert PARTITION not in [e["code"] for e in first.events]
+
+
 def test_resilience_absorbs_single_provider_outages():
     # short, mostly non-overlapping outages: everything a failover pair
-    # *can* absorb, it must absorb
-    config = ChaosConfig(
-        p_take_down=0.02, down_duration=(1.0, 3.0),
-        p_fault_burst=0.06, burst_size=(1, 2),
-        p_flap=0.0,
+    # *can* absorb, it must absorb (p_take_down 0.02, p_fault_burst 0.06,
+    # p_latency_spike 0.06 per host, no flapping)
+    mix = compose(
+        CrashNemesis(HOSTS, every=(12.5, 37.5), outage=(1.0, 3.0)),
+        BreakerFlapNemesis(HOSTS, every=(4.17, 12.5), size=(1, 2)),
+        LatencySpikeNemesis(HOSTS, every=(4.17, 12.5), magnitude=(0.5, 3.0)),
     )
-    report = run_chaos(seed=7, iterations=80, config=config)
+    report = run_chaos(seed=7, iterations=80, mix=mix)
     assert report.faults_injected > 0
     # failover + retries absorb single-provider outages; only overlapping
     # outages of both providers can surface to the client
@@ -97,9 +155,15 @@ def test_resilience_absorbs_single_provider_outages():
 
 @pytest.mark.tier2_chaos
 def test_long_chaos_run_is_deterministic_and_survivable():
-    config = ChaosConfig(p_take_down=0.06, down_duration=(1.0, 4.0),
-                         p_fault_burst=0.12, p_latency_spike=0.08,
-                         p_flap=0.02, flap_phases=(2.0, 1.0))
+    # p_take_down 0.06, p_fault_burst 0.12, p_latency_spike 0.08 and
+    # p_flap 0.02 per host, over both hosts
+    mix = compose(
+        CrashNemesis(HOSTS, every=(4.17, 12.5), outage=(1.0, 4.0)),
+        BreakerFlapNemesis(HOSTS, every=(2.08, 6.25), size=(1, 3)),
+        LatencySpikeNemesis(HOSTS, every=(3.125, 9.375), magnitude=(0.5, 3.0)),
+        FlapNemesis(HOSTS, every=(12.5, 37.5), phases=(2.0, 1.0),
+                    duration=(1.0, 4.0)),
+    )
 
     def long_run(seed: int):
         network = VirtualNetwork(seed=seed)
@@ -118,9 +182,10 @@ def test_long_chaos_run_is_deterministic_and_survivable():
                                                 cooldown=2.0),
             resilience_log=log, retry_seed=seed,
         )
-        monkey = ChaosMonkey(network, HOSTS, seed=seed, config=config, log=log)
-        return ChaosHarness(network, monkey).run(
-            lambda i: client.call("listSchedulers"), 500
+        monkey = ChaosMonkey(network, list(HOSTS), log=log)
+        return ChaosHarness(monkey).run(
+            lambda i: client.call("listSchedulers"),
+            mix.schedule(seed, 500), 500,
         )
 
     first = long_run(1234)
@@ -132,32 +197,22 @@ def test_long_chaos_run_is_deterministic_and_survivable():
     assert len(first.events) > 50
 
 
-def test_legacy_schedules_replay_unchanged_without_regions():
-    """Partitions default off: pre-region seeded schedules stay byte-identical."""
-    config = ChaosConfig(p_take_down=0.1, p_fault_burst=0.1,
-                         p_latency_spike=0.1, p_flap=0.05)
-    first = run_chaos(seed=77, iterations=120, config=config)
-    second = run_chaos(seed=77, iterations=120, config=config)
-    assert first.events == second.events
-    assert PARTITION not in [e["code"] for e in first.events]
-
-
 def test_region_partitions_are_drawn_and_healed():
     network = VirtualNetwork(seed=5)
     log = ResilienceLog()
     for host in ("a.iu", "b.sdsc"):
         network.register(host, lambda r: None)
     monkey = ChaosMonkey(
-        network, ["a.iu", "b.sdsc"], seed=5, log=log,
-        config=ChaosConfig(p_take_down=0.0, p_fault_burst=0.0,
-                           p_latency_spike=0.0, p_flap=0.0,
-                           p_partition=0.5, partition_duration=(1.0, 2.0)),
+        network, ["a.iu", "b.sdsc"], log=log,
         regions={"iu": ("a.iu",), "sdsc": ("b.sdsc",)},
     )
-    for _ in range(30):
-        monkey.step()
-        network.clock.advance(1.0)
-    monkey.heal_all()
+    # p_partition 0.5 per step, cuts of 1-2 s
+    schedule = compose(
+        PartitionNemesis(("iu", "sdsc"), every=(2.0, 6.0), duration=(1.0, 2.0))
+    ).schedule(5, 30)
+    ChaosHarness(monkey).run(
+        lambda i: network.clock.advance(1.0), schedule, 30
+    )
     codes = [e.code for e in log.events]
     assert monkey.partitions_injected >= 1
     assert codes.count(PARTITION) == monkey.partitions_injected
@@ -170,11 +225,14 @@ def test_heal_all_clears_partitions_and_armed_charges():
     network.register("a.iu", lambda r: None)
     network.register("b.sdsc", lambda r: None)
     monkey = ChaosMonkey(
-        network, ["a.iu", "b.sdsc"], seed=9,
-        config=ChaosConfig(p_partition=1.0),
+        network, ["a.iu", "b.sdsc"],
         regions={"iu": ("a.iu",), "sdsc": ("b.sdsc",)},
     )
-    monkey.step()
+    monkey.apply(NemesisEvent(
+        t=1.0, id=1, kind=nem.PARTITION,
+        args={"a": "iu", "b": "sdsc", "mode": "full", "duration": 5.0,
+              "loss": 0.75},
+    ))
     assert network.active_partitions()
     network.fail_next("a.iu", times=2)
     monkey.heal_all()
@@ -187,17 +245,24 @@ def test_restart_rebuilders_run_after_repair():
     network.register("svc.iu", lambda r: None)
     rebuilt = []
     monkey = ChaosMonkey(
-        network, ["svc.iu"], seed=2,
-        config=ChaosConfig(p_take_down=1.0, down_duration=(1.0, 1.0),
-                           p_fault_burst=0.0, p_latency_spike=0.0, p_flap=0.0),
+        network, ["svc.iu"],
         rebuilders={"svc.iu": lambda: rebuilt.append("svc.iu")},
     )
-    monkey.step()
+
+    def crash(event_id: int) -> NemesisEvent:
+        return NemesisEvent(
+            t=float(event_id), id=event_id, kind=nem.CRASH,
+            args={"host": "svc.iu", "outage": 1.0},
+        )
+
+    monkey.apply(crash(1))
     assert not network.is_up("svc.iu")
     network.clock.advance(1.5)
-    monkey.step()  # repairs + rebuilds, then (p=1.0) cuts it down again
+    monkey.apply_due()  # repairs + rebuilds
+    monkey.apply(crash(2))  # ... and the next crash cuts it down again
     assert rebuilt == ["svc.iu"]
     assert monkey.restarts_performed == 1
+    assert not network.is_up("svc.iu")
     monkey.heal_all()
     assert network.is_up("svc.iu")
     assert rebuilt == ["svc.iu", "svc.iu"]
