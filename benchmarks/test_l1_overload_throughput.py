@@ -13,6 +13,7 @@ across PRs.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from benchmarks.conftest import record_table
@@ -128,6 +129,9 @@ def test_overload_throughput_with_and_without_admission():
     out = Path(__file__).parent.parent / "BENCH_loadmgmt.json"
     out.write_text(json.dumps({
         "benchmark": "l1_overload_throughput",
+        "command": "PYTHONPATH=src python -m pytest -q --benchmark-disable "
+                   "benchmarks/test_l1_overload_throughput.py",
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         "capacity_per_s": CAPACITY,
         "duration_s": DURATION,
         "weights": WEIGHTS,

@@ -15,6 +15,7 @@ hot path are diffable across PRs.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from benchmarks.conftest import record_table
@@ -165,6 +166,9 @@ def test_workflow_throughput_schedule_quality_and_resume_cost():
     out = Path(__file__).parent.parent / "BENCH_workflow.json"
     out.write_text(json.dumps({
         "benchmark": "w1_workflow",
+        "command": "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
+                   "benchmarks/test_w1_workflow.py",
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         "seed": SEED,
         "widths": list(WIDTHS),
         "runs": runs,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from typing import Any
 
+from repro.xmlutil.qname import QName
+
 _TAG_NULL = 0
 _TAG_FALSE = 1
 _TAG_TRUE = 2
@@ -48,7 +50,8 @@ def _encode(out: bytearray, value: Any) -> None:
         out.append(_TAG_STRING)
         out.extend(struct.pack(">I", len(data)))
         out.extend(data)
-    elif isinstance(value, (list, tuple)):
+    # a QName is a tuple, but a name rather than a sequence: it is refused
+    elif isinstance(value, (list, tuple)) and not isinstance(value, QName):
         out.append(_TAG_SEQUENCE)
         out.extend(struct.pack(">I", len(value)))
         for item in value:

@@ -52,10 +52,18 @@ LATENCY_SPIKE_KIND = "latency-spike"
 DISK_FULL_KIND = "disk-full"
 CLOCK_STALL_KIND = "clock-stall"
 
-KINDS = (
-    CRASH_KIND, PARTITION_KIND, FLAP_KIND, BREAKER_FLAP_KIND,
-    LATENCY_SPIKE_KIND, DISK_FULL_KIND, CLOCK_STALL_KIND,
-)
+#: each kind -> the arguments :meth:`ChaosMonkey.apply` reads from its
+#: events, so a schedule reader can refuse an event before it is applied
+KIND_ARGS = {
+    CRASH_KIND: ("host", "outage"),
+    PARTITION_KIND: ("a", "b", "mode", "duration", "loss"),
+    FLAP_KIND: ("host", "up", "down", "duration"),
+    BREAKER_FLAP_KIND: ("host", "size"),
+    LATENCY_SPIKE_KIND: ("host", "magnitude", "duration"),
+    DISK_FULL_KIND: ("host", "duration"),
+    CLOCK_STALL_KIND: ("seconds",),
+}
+KINDS = tuple(KIND_ARGS)
 #: the faults of a host's network presence: a host the monkey holds down
 #: (its repair still pending) takes none of them until it is back
 HOST_FAULT_KINDS = (CRASH_KIND, FLAP_KIND, BREAKER_FLAP_KIND, LATENCY_SPIKE_KIND)

@@ -8,7 +8,10 @@ Examples::
         --out report.json --artifacts artifacts/
     python -m repro.simtest --seed 17 --schedule shrunk.json
 
-Exit status 0 when every seed passed every oracle, 1 otherwise.
+Exit status 0 when every seed passed every oracle, 1 when an oracle fired,
+2 on a usage error: a malformed command line, or a ``--schedule`` file
+that cannot be read, is not JSON, or holds an event the run could not
+apply (one line on stderr names the file and the event).
 """
 
 from __future__ import annotations
@@ -91,9 +94,13 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        schedule = NemesisSchedule.from_json(
-            Path(args.schedule).read_text()
-        )
+        try:
+            schedule = NemesisSchedule.from_json(
+                Path(args.schedule).read_text()
+            )
+        except (OSError, ValueError) as err:
+            print(f"{args.schedule}: {err}", file=sys.stderr)
+            return 2
 
     progress = None
     if not args.quiet:

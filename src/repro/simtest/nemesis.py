@@ -27,7 +27,7 @@ from repro.resilience.chaos import (
     CRASH_KIND as CRASH,
     DISK_FULL_KIND as DISK_FULL,
     FLAP_KIND as FLAP,
-    KINDS,
+    KIND_ARGS,
     LATENCY_SPIKE_KIND as LATENCY_SPIKE,
     PARTITION_KIND as PARTITION,
 )
@@ -39,7 +39,9 @@ SCHEDULE_SCHEMA = "repro.simtest.schedule/v1"
 
 CRASH_MID_WRITE = "crash-mid-write"
 
-EVENT_KINDS = KINDS + (CRASH_MID_WRITE,)
+#: every event kind a schedule may hold -> the arguments its events carry
+EVENT_ARGS = {**KIND_ARGS, CRASH_MID_WRITE: ("host",)}
+EVENT_KINDS = tuple(EVENT_ARGS)
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,42 @@ class NemesisSchedule:
 
     @staticmethod
     def from_json(text: str) -> "NemesisSchedule":
-        raw = json.loads(text)
-        if raw.get("schema") != SCHEDULE_SCHEMA:
-            raise ValueError(
-                f"not a {SCHEDULE_SCHEMA} document: {raw.get('schema')!r}"
-            )
-        events = tuple(
-            NemesisEvent.from_dict(entry) for entry in raw.get("events", [])
-        )
-        return NemesisSchedule(seed=str(raw.get("seed", "")), events=events)
+        """Read a schedule document.  Raises ``ValueError``, with a one-line
+        message naming the fault and the event, on text that is not JSON or
+        not a :data:`SCHEDULE_SCHEMA` document, and on an event that could
+        not be applied: a malformed one, one of a kind outside
+        :data:`EVENT_ARGS`, or one without an argument its kind reads."""
+        try:
+            raw = json.loads(text)
+        except ValueError as err:
+            raise ValueError(f"not JSON: {err}") from None
+        schema = raw.get("schema") if isinstance(raw, dict) else None
+        if schema != SCHEDULE_SCHEMA:
+            raise ValueError(f"not a {SCHEDULE_SCHEMA} document: {schema!r}")
+        entries = raw.get("events", [])
+        if not isinstance(entries, list):
+            raise ValueError("events is not a list")
+        events = []
+        for index, entry in enumerate(entries):
+            try:
+                event = NemesisEvent.from_dict(entry)
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"event {index} is malformed: {entry!r}"
+                ) from None
+            required = EVENT_ARGS.get(event.kind)
+            if required is None:
+                raise ValueError(
+                    f"event {event.describe()}: unknown kind {event.kind!r}"
+                )
+            missing = [name for name in required if name not in event.args]
+            if missing:
+                raise ValueError(
+                    f"event {event.describe()}: a {event.kind} event needs "
+                    + ", ".join(missing)
+                )
+            events.append(event)
+        return NemesisSchedule(seed=str(raw.get("seed", "")), events=tuple(events))
 
     def describe(self) -> str:
         return "\n".join(event.describe() for event in self.events)

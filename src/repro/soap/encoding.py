@@ -179,7 +179,8 @@ def _encode_into(node: XmlElement, value: Any) -> None:
     elif isinstance(value, XmlElement):
         _set_type(node, "enc:XmlLiteral")
         node.content = [value]
-    elif isinstance(value, (list, tuple)):
+    # a QName is a tuple, but a name rather than a sequence: it is refused
+    elif isinstance(value, (list, tuple)) and not isinstance(value, QName):
         _set_type(node, "enc:Array")
         node.attributes[_ARRAY_TYPE_ATTR] = f"xsd:anyType[{len(value)}]"
         for item in value:

@@ -41,16 +41,20 @@ class SoapEnvelope:
         root = parse_xml(text) if isinstance(text, str) else text
         if root.tag != _ENVELOPE:
             raise ValueError(f"not a SOAP envelope: {root.tag}")
-        headers: list[XmlElement] = []
-        header = root.find(_HEADER)
-        if header is not None:
-            headers = list(header.children)
-        body = root.find(_BODY)
-        if body is None or not body.children:
+        header = body = None
+        for item in root.content:  # the first Header and the first Body
+            if isinstance(item, XmlElement):
+                if item.tag == _BODY and body is None:
+                    body = item
+                elif item.tag == _HEADER and header is None:
+                    header = item
+        entries = body.children if body is not None else []
+        if not entries:
             raise ValueError("SOAP envelope has no body element")
-        if len(body.children) != 1:
+        if len(entries) != 1:
             raise ValueError("SOAP body must contain exactly one element")
-        return SoapEnvelope(body.children[0], headers)
+        headers = header.children if header is not None else []
+        return SoapEnvelope(entries[0], headers)
 
     def header(self, tag: str | QName) -> XmlElement | None:
         """First header entry with the given tag (bare name = any namespace)."""

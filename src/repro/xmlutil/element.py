@@ -14,6 +14,15 @@ as ``&#9;``, ``&#10;`` and ``&#13;``, and text writes CR as ``&#13;``: a
 parser normalizes those characters when they travel raw (an attribute's to
 spaces, a CR or CRLF to LF).
 
+Names are :class:`~repro.xmlutil.qname.QName` tuples, hashed and compared
+in C, and a name is built once, not per use: the parser maps each of
+expat's names through its own bounded table (:data:`_QNAMES`), and a
+string tag or attribute name given to :class:`XmlElement`, ``set`` or
+``get`` goes through the Clark-notation table of :meth:`QName.parse`.
+The serializer keeps one ``{QName: written name}`` table per document, so
+each name is prefixed once per document.  ``find``, ``findall``,
+``children`` and ``text`` loop over an element's content directly.
+
 :func:`parse_xml` builds the tree from the callbacks of the standard
 library's expat, a conforming parser.  Every document that is not
 well-formed XML 1.0 with namespaces is an :class:`XmlParseError`:
@@ -29,15 +38,15 @@ import re
 from typing import Iterable, Iterator, Union
 from xml.parsers.expat import ErrorString, ExpatError, ParserCreate
 
-from repro.xmlutil.qname import QName
+from repro.xmlutil.qname import MAX_NAMES, QName
 
 _ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
 _ESCAPES_ATTR = {
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
     "\t": "&#9;", "\n": "&#10;", "\r": "&#13;",
 }
-#: any character an attribute value writes as a reference
-_ATTR_SPECIALS = re.compile("[" + "".join(_ESCAPES_ATTR) + "]")
+#: finds any character an attribute value writes as a reference
+_attr_special = re.compile("[" + "".join(_ESCAPES_ATTR) + "]").search
 
 #: the namespace bound to the ``xml`` prefix in every document, undeclared
 XML_NS = "http://www.w3.org/XML/1998/namespace"
@@ -65,14 +74,6 @@ def _escape(text: str, table: dict[str, str]) -> str:
     return text
 
 
-def _escape_attr(value: str) -> str:
-    # an attribute value is short and seldom holds any of seven characters:
-    # one regex search settles that faster than seven ``in`` tests
-    if _ATTR_SPECIALS.search(value) is None:
-        return value
-    return _escape(value, _ESCAPES_ATTR)
-
-
 class CData(str):
     """Text that serializes as one CDATA section instead of escaped.
 
@@ -89,13 +90,14 @@ Content = Union["XmlElement", str]
 def _prefixed(name: QName, prefixes: dict[str, str]) -> str:
     """*name* as the document writes it, giving its namespace the next
     prefix if it has none yet (*prefixes* maps a namespace to ``prefix:``)."""
-    if not name.namespace:
-        return name.local
-    prefix = prefixes.get(name.namespace)
+    namespace, local = name
+    if not namespace:
+        return local
+    prefix = prefixes.get(namespace)
     if prefix is None:
         # the XML namespace holds the first entry and no number
-        prefix = prefixes[name.namespace] = f"ns{len(prefixes) - 1}:"
-    return prefix + name.local
+        prefix = prefixes[namespace] = f"ns{len(prefixes) - 1}:"
+    return prefix + local
 
 
 class XmlElement:
@@ -117,9 +119,10 @@ class XmlElement:
     ):
         self.tag: QName = tag if isinstance(tag, QName) else QName.parse(tag)
         self.attributes: dict[QName, str] = {}
-        for key, value in (attributes or {}).items():
-            self.set(key, value)
-        self.content: list[Content] = list(content or [])
+        if attributes:
+            for key, value in attributes.items():
+                self.set(key, value)
+        self.content: list[Content] = list(content) if content else []
         if text is not None:
             self.content.append(text)
 
@@ -131,11 +134,10 @@ class XmlElement:
         # serializer emits declarations from each tag's QName namespaces, and
         # the parser consumes them into the namespace map, so a literal
         # attribute by that name could never round-trip
-        if not qkey.namespace and (
-            qkey.local == "xmlns" or qkey.local.startswith("xmlns:")
-        ):
+        namespace, local = qkey
+        if not namespace and (local == "xmlns" or local.startswith("xmlns:")):
             raise ValueError(
-                f"{qkey.local!r} is a reserved namespace declaration, "
+                f"{local!r} is a reserved namespace declaration, "
                 "not an attribute"
             )
         self.attributes[qkey] = str(value)
@@ -150,12 +152,20 @@ class XmlElement:
     @property
     def children(self) -> list["XmlElement"]:
         """Element children only (text nodes skipped)."""
-        return [c for c in self.content if isinstance(c, XmlElement)]
+        children = []
+        for item in self.content:
+            if isinstance(item, XmlElement):
+                children.append(item)
+        return children
 
     @property
     def text(self) -> str:
         """Concatenation of all *direct* text content."""
-        return "".join(c for c in self.content if isinstance(c, str))
+        texts = []
+        for item in self.content:
+            if isinstance(item, str):
+                texts.append(item)
+        return "".join(texts)
 
     def set_text(self, text: str) -> "XmlElement":
         """Replace all content with a single text node."""
@@ -181,28 +191,34 @@ class XmlElement:
 
         A bare local name matches any namespace; a full QName matches exactly.
         """
-        for el in self._match(tag):
-            return el
+        if isinstance(tag, str) and not tag.startswith("{"):
+            for item in self.content:
+                if isinstance(item, XmlElement) and item.tag.local == tag:
+                    return item
+            return None
+        qtag = tag if isinstance(tag, QName) else QName.parse(tag)
+        for item in self.content:
+            if isinstance(item, XmlElement) and item.tag == qtag:
+                return item
         return None
 
     def findall(self, tag: QName | str) -> list["XmlElement"]:
         """All direct children with the given tag (bare name = any namespace)."""
-        return list(self._match(tag))
+        found = []
+        if isinstance(tag, str) and not tag.startswith("{"):
+            for item in self.content:
+                if isinstance(item, XmlElement) and item.tag.local == tag:
+                    found.append(item)
+            return found
+        qtag = tag if isinstance(tag, QName) else QName.parse(tag)
+        for item in self.content:
+            if isinstance(item, XmlElement) and item.tag == qtag:
+                found.append(item)
+        return found
 
     def findtext(self, tag: QName | str, default: str = "") -> str:
         el = self.find(tag)
         return el.text if el is not None else default
-
-    def _match(self, tag: QName | str) -> Iterator["XmlElement"]:
-        if isinstance(tag, str) and not tag.startswith("{"):
-            for el in self.children:
-                if el.tag.local == tag:
-                    yield el
-            return
-        qtag = tag if isinstance(tag, QName) else QName.parse(tag)
-        for el in self.children:
-            if el.tag == qtag:
-                yield el
 
     def clone(self) -> "XmlElement":
         """A deep copy (children cloned, text shared — strings are immutable)."""
@@ -238,38 +254,52 @@ class XmlElement:
                 parts.append("\n")
         prefixes: dict[str, str] = {XML_NS: "xml:"}
         root = len(parts)
-        self._serialize(parts, prefixes, indent, 0, parent_pretty=False)
+        self._serialize(parts, {}, prefixes, indent, 0, parent_pretty=False)
         if len(prefixes) > 1:
             # the whole tree is walked, so every namespace has its prefix:
             # declare them all just before the root start tag's end
             start = parts[root]
             end = len(start) - (1 if self.content else 2)
-            declarations = "".join([
-                f' xmlns:{prefix[:-1]}="{_escape_attr(ns)}"'
-                for ns, prefix in prefixes.items()
-                if ns != XML_NS
-            ])
+            declarations = ""
+            for namespace, prefix in prefixes.items():
+                if namespace != XML_NS:
+                    if _attr_special(namespace) is not None:
+                        namespace = _escape(namespace, _ESCAPES_ATTR)
+                    declarations += f' xmlns:{prefix[:-1]}="{namespace}"'
             parts[root] = start[:end] + declarations + start[end:]
         return "".join(parts)
 
     def _serialize(
         self,
         parts: list[str],
+        names: dict[QName, str],
         prefixes: dict[str, str],
         indent: int | None,
         depth: int,
         parent_pretty: bool,
     ) -> None:
+        # *names* maps each QName of the document to its written name, so
+        # a name costs one dict lookup after its first use; it is filled in
+        # document order (tag, attributes, children), the order in which
+        # _prefixed numbers the prefixes
+        tag = names.get(self.tag)
+        if tag is None:
+            tag = names[self.tag] = _prefixed(self.tag, prefixes)
         # indentation is only safe around element-only content; a parent with
         # mixed content must not have whitespace injected between its children
         pad = "\n" + " " * (indent * depth) if parent_pretty and depth else ""
-        tag = _prefixed(self.tag, prefixes)
         open_tag = f"{pad}<{tag}"
         if self.attributes:
-            open_tag += "".join([
-                f' {_prefixed(key, prefixes)}="{_escape_attr(value)}"'
-                for key, value in self.attributes.items()
-            ])
+            for key, value in self.attributes.items():
+                name = names.get(key)
+                if name is None:
+                    name = names[key] = _prefixed(key, prefixes)
+                # an attribute value is short and seldom holds any of seven
+                # characters: one regex search settles that faster than
+                # seven ``in`` tests
+                if _attr_special(value) is not None:
+                    value = _escape(value, _ESCAPES_ATTR)
+                open_tag += f' {name}="{value}"'
         if not self.content:
             parts.append(open_tag + "/>")
             return
@@ -281,10 +311,17 @@ class XmlElement:
             if isinstance(item, str):
                 if item.__class__ is CData:
                     parts.append(f"<![CDATA[{item}]]>")
-                else:
+                # most text holds none of the four characters; ``in`` scans
+                # a long text (a base64 file) at memory speed, a regex
+                # search one character at a time
+                elif "&" in item or "<" in item or ">" in item or "\r" in item:
                     parts.append(_escape(item, _ESCAPES_TEXT))
+                else:
+                    parts.append(item)
             else:
-                item._serialize(parts, prefixes, indent, depth + 1, pretty)
+                item._serialize(
+                    parts, names, prefixes, indent, depth + 1, pretty
+                )
         if pretty:
             parts.append("\n" + " " * ((indent or 0) * depth))
         parts.append(f"</{tag}>")
@@ -321,9 +358,11 @@ class XmlElement:
 # ---------------------------------------------------------------------------
 
 #: expat's name for an element or attribute (``namespace}local``, or a bare
-#: ``local`` outside any namespace) -> its QName.  Building a QName costs
-#: about a microsecond and documents reuse few names, so each is built
-#: once; a run of distinct names refills the table instead of growing it.
+#: ``local`` outside any namespace) -> its QName.  Documents reuse few
+#: names, so each is built once; a run of distinct names refills the table
+#: instead of growing it.  It is kept apart from the Clark-notation table
+#: of :meth:`QName.parse`: a namespace may start with ``{``, so the same
+#: string can name different QNames in the two notations.
 _QNAMES: dict[str, QName] = {}
 
 _new = object.__new__
@@ -331,7 +370,7 @@ _new = object.__new__
 
 def _qname(name: str) -> QName:
     """The QName of expat name *name*, entered in :data:`_QNAMES`."""
-    if len(_QNAMES) >= 4096:
+    if len(_QNAMES) >= MAX_NAMES:
         _QNAMES.clear()
     # a local name never holds the separator; a namespace may
     namespace, _, local = name.rpartition("}")

@@ -67,3 +67,66 @@ def test_schedule_flag_requires_exactly_one_seed(tmp_path, capsys):
         "--seed", "1", "--seed", "2", "--schedule", str(schedule), "--quiet",
     ])
     assert code == 2
+
+
+def _replay(tmp_path, capsys, document: str):
+    """Replay *document* as a schedule file: (exit status, stderr lines)."""
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(document)
+    code = main(["--seed", "1", "--schedule", str(schedule), "--quiet"])
+    lines = capsys.readouterr().err.splitlines()
+    return code, lines, str(schedule)
+
+
+def _document(*events: dict, schema: str = "repro.simtest.schedule/v1") -> str:
+    return json.dumps({"schema": schema, "seed": "1", "events": list(events)})
+
+
+def test_crash_event_without_its_outage_is_a_usage_error(tmp_path, capsys):
+    event = {"t": 2.0, "id": 1, "kind": "crash",
+             "args": {"host": "globusrun.sdsc.edu"}}
+    code, lines, path = _replay(tmp_path, capsys, _document(event))
+    assert code == 2
+    assert len(lines) == 1
+    assert lines[0].startswith(path + ": ")
+    assert "t=2 #1 crash host=globusrun.sdsc.edu" in lines[0]
+    assert "outage" in lines[0]
+
+
+def test_latency_spike_without_a_duration_is_a_usage_error(tmp_path, capsys):
+    # the form spikes had before they gained a duration
+    event = {"t": 3.0, "id": 4, "kind": "latency-spike",
+             "args": {"host": "globusrun.sdsc.edu", "magnitude": 1.5}}
+    code, lines, path = _replay(tmp_path, capsys, _document(event))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(path + ": ")
+    assert "#4 latency-spike" in lines[0] and "duration" in lines[0]
+
+
+def test_unknown_event_kind_is_a_usage_error(tmp_path, capsys):
+    event = {"t": 1.0, "id": 2, "kind": "meteor", "args": {}}
+    code, lines, path = _replay(tmp_path, capsys, _document(event))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(path + ": ")
+    assert "#2 meteor" in lines[0] and "unknown kind" in lines[0]
+
+
+def test_wrong_schema_is_a_usage_error(tmp_path, capsys):
+    code, lines, path = _replay(
+        tmp_path, capsys, _document(schema="repro.simtest.schedule/v0"))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(path + ": ")
+    assert "repro.simtest.schedule/v0" in lines[0]
+
+
+def test_schedule_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    code, lines, path = _replay(tmp_path, capsys, '{"schema": ')
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(path + ": not JSON")
+
+
+def test_event_without_its_time_is_a_usage_error(tmp_path, capsys):
+    event = {"id": 3, "kind": "clock-stall", "args": {"seconds": 1.0}}
+    code, lines, path = _replay(tmp_path, capsys, _document(event))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(path + ": event 0")
