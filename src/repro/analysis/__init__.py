@@ -10,10 +10,10 @@ convention:
   :class:`~repro.transport.clock.SimClock` and seeded ``random.Random``
   instances; wall-clock reads, sleeps, and unseeded randomness are banned,
   as is insertion-order iteration over discovery registries.
-- **fault taxonomy** (REP2xx) — every error a SOAP-dispatched method can
-  raise must belong to the common ``Portal.*`` vocabulary
-  (:mod:`repro.faults`), with an explicit fault code and retryable
-  classification.
+- **fault taxonomy** (REP2xx, REP901) — every error a SOAP-dispatched
+  method can raise, in the service or in any helper it calls, must belong
+  to the common ``Portal.*`` vocabulary (:mod:`repro.faults`), each
+  member with an explicit fault code and retryable classification.
 - **contract drift** (REP3xx) — implementations of the same port type must
   expose the same operation surface, and a statically declared interface
   WSDL must match the classes that implement it.

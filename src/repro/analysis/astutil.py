@@ -33,7 +33,7 @@ class AstIndex:
     sweep).
 
     The index also holds the per-module facts several consumers share:
-    import aliases, import origins and SOAP exposures.
+    import origins and SOAP exposures.
     """
 
     def __init__(self, tree: ast.Module, module_name: str = ""):
@@ -106,38 +106,16 @@ class AstIndex:
         return found
 
     @cached_property
-    def import_aliases(self) -> dict[str, str]:
+    def import_origins(self) -> dict[str, str]:
         """Map local names to the dotted origin they were imported as.
 
         ``import time as t`` -> ``{"t": "time"}``;
         ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
         Function-local imports count too (the codebase imports lazily a
-        lot); relative imports do not (see :attr:`import_origins`).
-        """
-        aliases: dict[str, str] = {}
-        for node in self.walk(self.tree, ast.Import, ast.ImportFrom):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif node.module and node.level == 0:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-        return aliases
-
-    @cached_property
-    def import_origins(self) -> dict[str, str]:
-        """Local name -> dotted origin, relative imports resolved.
-
-        Like :attr:`import_aliases` but aware of the module's own dotted
-        name, so ``from . import x`` and ``from ..pkg import y`` resolve
-        to absolute project paths (``from .helpers import x`` inside
-        ``fixtures.demo.svc`` targets ``fixtures.demo.helpers``).
+        lot).  Relative imports resolve against the module's own dotted
+        name, so ``from . import x`` and ``from ..pkg import y`` name
+        absolute project paths (``from .helpers import x`` inside
+        ``fixtures.demo.svc`` targets ``fixtures.demo.helpers.x``).
         """
         name = self.module_name
         package = name.rsplit(".", 1)[0] if "." in name else ""

@@ -85,7 +85,7 @@ class DeterminismChecker(Checker):
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
         index = module.index
-        aliases = index.import_aliases
+        aliases = index.import_origins
         for node in index.walk(module.tree, *_SCANNED):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, aliases)

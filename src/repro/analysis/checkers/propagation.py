@@ -6,13 +6,16 @@ context, deterministic values, handle ownership.  PR 5's per-file rules
 stopped at module boundaries; this family runs on the whole-program call
 graph (:mod:`repro.analysis.graph`) and checks the flows end to end:
 
-- **REP901** — interprocedural fault taxonomy.  A raise reachable from
-  SOAP dispatch through *cross-module* helpers must still resolve to a
-  classified ``PortalError`` (REP201 already covers the same-module
-  closure; this rule reports exactly the delta).  A call site wrapped in
-  ``try/except`` does not propagate reachability — wrapping foreign
-  errors at the boundary is the discipline, and the wrapper takes the
-  blame for what it re-raises.
+- **REP901** — the fault taxonomy on every dispatch path.  A raise
+  reachable from SOAP dispatch, in the service or in any helper it calls,
+  must be classified: a ``PortalError`` subclass (by name, by import from
+  :mod:`repro.faults`, or by resolution), or one of
+  :data:`~repro.analysis.checkers.faults.ALLOWED_RAISES`.  An exception
+  factory (``raise self._deadline_error(...)``) is judged by the return
+  annotation of the callee the call graph resolves.  A cross-module call
+  site wrapped in ``try/except`` does not propagate reachability —
+  wrapping foreign errors at the boundary is the discipline, and the
+  wrapper takes the blame for what it re-raises.
 
 - **REP902** — context propagation on outbound calls.  A
   dispatch-reachable function that issues outbound traffic on behalf of
@@ -48,15 +51,9 @@ from repro.analysis.checkers.faults import (
     ALLOWED_RAISES,
     FAULT_MODULE,
     FAULT_ROOT,
-    rep201_closure,
 )
 from repro.analysis.core import Checker, Finding, Project, register_checker
 from repro.analysis.graph.dataflow import Dataflow, reachable
-
-#: exceptions additionally permitted on *cross-module* dispatch paths:
-#: TransportError is the modelled network-failure primitive — resilience
-#: policy classifies it retryable and the SOAP boundary maps it already
-PROPAGATION_ALLOWED = ALLOWED_RAISES | {"TransportError"}
 
 #: modules whose raw HTTP use IS the encoder layer (they attach the
 #: context headers everyone else must go through)
@@ -96,10 +93,7 @@ class PropagationChecker(Checker):
         "module boundaries"
     )
     codes = {
-        "REP901": (
-            "raise of an unclassified exception reachable from SOAP "
-            "dispatch through cross-module calls"
-        ),
+        "REP901": "raise of an unclassified exception reachable from SOAP dispatch",
         "REP902": (
             "dispatch-reachable outbound call drops the inbound "
             "deadline/trace context"
@@ -128,82 +122,38 @@ class PropagationChecker(Checker):
             follow_guarded=True,
             edge_filter=_full_filter,
         )
-        covered = rep201_closure(project)
-        portal = self._portal_classes(graph)
-
-        yield from self._check_faults(calls, by_module, full, covered, portal)
+        yield from self._check_faults(project, calls, by_module, full)
         yield from self._check_context(calls, by_module, full)
         yield from _TaintAnalysis(calls).findings(by_module, self.name)
         yield from _OwnershipAnalysis(calls).findings(by_module, self.name)
 
-    # -- REP901: interprocedural fault taxonomy --------------------------------
-
-    @staticmethod
-    def _portal_classes(graph) -> set[tuple[str, str]]:
-        symbols = graph.symbols
-        roots = {key for key in symbols.classes if key[1] == FAULT_ROOT}
-        return symbols.subclasses_of(roots)
+    # -- REP901: the fault taxonomy on every dispatch path ---------------------
 
     def _check_faults(
-        self, calls, by_module, full, covered, portal
+        self, project, calls, by_module, full
     ) -> Iterable[Finding]:
-        portal_names = {name for _mod, name in portal}
+        taxonomy = _Taxonomy(project, calls)
         for node_id in sorted(full):
             node = calls.nodes[node_id]
-            if (node.module, node.cls, node.name) in covered:
-                continue  # REP201's jurisdiction: the same-module closure
             module = by_module.get(node.module)
             if module is None:
                 continue
             func = calls.funcs[node_id]
             symbol = f"{node.cls}.{node.name}" if node.cls else node.name
             for raise_node in calls.index_of(node_id).walk(func, ast.Raise):
-                verdict = self._raise_verdict(
-                    calls.symbols, node.module, raise_node, portal, portal_names
-                )
+                verdict = taxonomy.verdict(node_id, raise_node)
                 if verdict is None:
                     continue
                 yield module.finding(
                     "REP901",
-                    f"{symbol} raises {verdict} on a cross-module "
-                    "SOAP-dispatch path — classify it as a PortalError "
-                    "subclass (or wrap the call at the service boundary) so "
-                    "the fault crosses the wire with a Portal.* code",
+                    f"{symbol} raises {verdict} on a SOAP-dispatch path — "
+                    "classify it as a PortalError subclass (or wrap the call "
+                    "at the service boundary) so the fault crosses the wire "
+                    "with a Portal.* code",
                     raise_node,
                     checker=self.name,
                     symbol=symbol,
                 )
-
-    @staticmethod
-    def _raise_verdict(
-        symbols, module, raise_node, portal, portal_names
-    ) -> str | None:
-        exc = raise_node.exc
-        if exc is None:
-            return None  # bare re-raise
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        name = dotted_name(exc)
-        if not name:
-            return None  # dynamic construction: out of static reach
-        head = name.split(".")[0]
-        if head and head[0].islower() and head != "self":
-            return None  # a variable being re-raised
-        last = name.split(".")[-1]
-        if "." in name and last and (last[0].islower() or last[0] == "_"):
-            # ``raise self._deadline_error(...)`` — an exception *factory*;
-            # what it returns is out of static reach
-            return None
-        for part in name.split("."):
-            if part in portal_names or part in PROPAGATION_ALLOWED:
-                return None
-        resolved = symbols.resolve(module, head)
-        if resolved is not None and resolved.kind == "class":
-            if (resolved.module, resolved.name) in portal:
-                return None
-            if resolved.module.startswith(FAULT_MODULE):
-                return None
-        return name
 
     # -- REP902: context propagation on outbound calls -------------------------
 
@@ -295,12 +245,88 @@ def _references_any(index, func, names: set[str]) -> bool:
     return False
 
 
-def _edge_summary(calls, node_id: str, call: ast.Call, summaries):
-    """The settled summary of the callee behind *call*.
+class _Taxonomy:
+    """REP901's one decision: is a raise on a dispatch path classified?"""
+
+    def __init__(self, project: Project, calls):
+        symbols = calls.symbols
+        self.calls = calls
+        #: by-name closure: sees ``class DemoError(PortalError)`` even when
+        #: :mod:`repro.faults` itself is outside the run
+        self.names = project.subclasses_of({FAULT_ROOT}) | ALLOWED_RAISES
+        roots = {key for key in symbols.classes if key[1] == FAULT_ROOT}
+        self.classes = symbols.subclasses_of(roots)
+        self._fault_imports: dict[str, set[str]] = {}
+
+    def classified(self, module: str, name: str) -> bool:
+        """Whether exception *name*, as written in *module*, is classified."""
+        imported = self._fault_imports.get(module)
+        if imported is None:
+            # local names bound to ``repro.faults`` members: portal errors
+            # even when the class is defined outside the run
+            imported = self._fault_imports[module] = {
+                local
+                for local, origin in self.calls.symbols.imports[module].items()
+                if origin.startswith(FAULT_MODULE + ".")
+            }
+        for part in name.split("."):
+            if part in self.names or part in imported:
+                return True
+        resolved = self.calls.symbols.resolve(module, name)
+        return (
+            resolved is not None
+            and resolved.kind == "class"
+            and (
+                (resolved.module, resolved.name) in self.classes
+                or resolved.module.startswith(FAULT_MODULE)
+            )
+        )
+
+    def verdict(self, node_id: str, raise_node: ast.Raise) -> str | None:
+        """What *raise_node* raises when that is unclassified; ``None`` when
+        it is classified or out of static reach."""
+        exc = raise_node.exc
+        if exc is None:
+            return None  # bare re-raise
+        call = exc if isinstance(exc, ast.Call) else None
+        name = dotted_name(exc.func if call is not None else exc)
+        if not name:
+            return None  # dynamic construction: out of static reach
+        if self.classified(self.calls.nodes[node_id].module, name):
+            return None
+        callee = (
+            _line_callee(self.calls, node_id, call, exact=True)
+            if call is not None
+            else None
+        )
+        if callee is not None:
+            # ``raise self._deadline_error(...)``: an exception factory,
+            # judged by its callee's return annotation
+            returns = self.calls.funcs[callee].returns
+            returned = (
+                str(returns.value)
+                if isinstance(returns, ast.Constant)
+                else dotted_name(returns)
+            )
+            if self.classified(self.calls.nodes[callee].module, returned):
+                return None
+            return (
+                f"{name}() (a factory whose return annotation is not a "
+                "classified exception)"
+            )
+        head = name.partition(".")[0]
+        if head[0].islower() and head != "self":
+            return None  # a variable being re-raised (``raise err``)
+        return name
+
+
+def _line_callee(calls, node_id: str, call: ast.Call, *, exact=False):
+    """The id of the callee behind *call*, or ``None``.
 
     Edges carry line numbers, not columns, so two calls on one line are
     ambiguous by line alone — prefer the edge whose callee's function
-    name matches the call target, fall back to the first line match."""
+    name matches the call target, else (unless *exact*) the first line
+    match."""
     target = None
     fallback = None
     for edge in calls.edges_by_line.get(node_id, {}).get(call.lineno, ()):
@@ -308,12 +334,17 @@ def _edge_summary(calls, node_id: str, call: ast.Call, summaries):
             continue
         if target is None:
             target = dotted_name(call.func).split(".")[-1]
-        callee_name = edge.callee.split(":", 1)[-1].split(".")[-1]
-        if callee_name == target:
-            return summaries.get(edge.callee)
-        if fallback is None:
-            fallback = summaries.get(edge.callee)
+        if edge.callee.split(":", 1)[-1].split(".")[-1] == target:
+            return edge.callee
+        if fallback is None and not exact:
+            fallback = edge.callee
     return fallback
+
+
+def _edge_summary(calls, node_id: str, call: ast.Call, summaries):
+    """The settled summary of the callee behind *call*."""
+    callee = _line_callee(calls, node_id, call)
+    return summaries.get(callee) if callee is not None else None
 
 
 # -- REP903: determinism taint -------------------------------------------------

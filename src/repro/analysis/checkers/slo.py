@@ -38,7 +38,7 @@ class SloSamplingChecker(Checker):
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.parsed():
-            aliases = module.index.import_aliases
+            aliases = module.index.import_origins
             for node in module.index.walk(module.tree, ast.Call):
                 path = resolve_call_path(node.func, aliases)
                 if not path:

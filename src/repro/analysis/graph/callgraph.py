@@ -19,9 +19,11 @@ raises are deployment-time, not request-time.
 
 Every edge records whether the *call site* is guarded by an enclosing
 ``try`` with an ``except`` handler — the wrap-at-the-boundary discipline
-the interprocedural fault rule (REP901) honours: a guarded call does not
+the fault rule (REP901) honours: a guarded cross-module call does not
 propagate dispatch reachability, because the caller classifies whatever
-comes out of it.
+comes out of it.  Edges also carry their line, and REP901 judges an
+exception factory (``raise self._error(...)``) by the return annotation
+of the callee an edge on the raise's line resolves to.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class CallGraph:
     edges_by_line: dict[str, dict[int, list[CallEdge]]] = field(
         default_factory=dict
     )
-    #: ids of every SOAP-dispatchable method: the roots the REP2xx/REP9xx
+    #: ids of every SOAP-dispatchable method: the roots the REP9xx
     #: reachability passes grow from
     dispatch_roots: list[str] = field(default_factory=list)
     _attr_cache: dict[tuple[str, str], dict[str, Symbol]] = field(

@@ -174,24 +174,10 @@ class AdmissionController:
 
     # -- admission ------------------------------------------------------------
 
-    def admit(
-        self,
-        principal: str | None = None,
-        *,
-        priority: int | None = None,
-        method: str = "",
-    ) -> Ticket:
-        """Run the gates; returns a :class:`Ticket` or sheds.
-
-        ``priority`` configures the lane's class on first sight of an
-        unknown principal; an explicit entry in ``lanes`` always wins.
-        """
+    def admit(self, principal: str | None = None, *, method: str = "") -> Ticket:
+        """Run the gates; returns a :class:`Ticket` or sheds."""
         now = self.clock.now
         lane = principal or ANONYMOUS_LANE
-        if lane not in self.queue.lanes and priority:
-            self.queue.lanes[lane] = LaneConfig(
-                weight=self.queue.default_weight, priority=priority
-            )
         stats = self.lane_stats.setdefault(lane, LaneStats())
         stats.arrived += 1
         self.arrived += 1

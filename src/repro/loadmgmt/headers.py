@@ -3,11 +3,13 @@
 Admission control arbitrates between *principals* — the paper's §4 user
 contexts / portal sessions — so each request must say whose work it is.
 The client stamps a ``Principal`` header entry (namespace
-``urn:gce:loadmgmt``) carrying the principal name and an optional
-priority class; the server's admission controller maps the name onto a
-fair-queue lane.  Requests without the header share the ``anonymous``
-lane, so unidentified traffic competes for exactly one fair share
-instead of bypassing arbitration.
+``urn:gce:loadmgmt``) carrying the principal name, and nothing else; the
+server's admission controller maps the name onto a fair-queue lane.  A
+lane's weight and priority class are the server's configuration
+(:class:`~repro.loadmgmt.fairqueue.LaneConfig`), never the caller's
+claim: a sender cannot buy itself a higher class.  Requests without the
+header share the ``anonymous`` lane, so unidentified traffic competes
+for exactly one fair share instead of bypassing arbitration.
 
 Like the deadline header, malformed values are ignored rather than
 faulted — load-management headers must never break a call.
@@ -25,35 +27,19 @@ LOADMGMT_NS = "urn:gce:loadmgmt"
 PRINCIPAL_HEADER = QName(LOADMGMT_NS, "Principal")
 register_header(
     PRINCIPAL_HEADER,
-    description="requesting principal and priority class for fair queuing",
+    description="requesting principal: the fair-queue lane",
     module=__name__,
 )
 
 
-def principal_header(name: str, priority: int = 0) -> XmlElement:
-    """Encode *name* (and a non-default priority class) as a header entry."""
-    entry = XmlElement(PRINCIPAL_HEADER, text=name)
-    if priority:
-        entry.set("priority", str(priority))
-    return entry
+def principal_header(name: str) -> XmlElement:
+    """Encode *name* as a header entry."""
+    return XmlElement(PRINCIPAL_HEADER, text=name)
 
 
-def principal_from_headers(
-    headers: list[XmlElement],
-) -> tuple[str | None, int | None]:
-    """Decode ``(principal, priority)`` from request headers.
-
-    Returns ``(None, None)`` when absent; a present header with a
-    malformed priority still yields the principal.
-    """
+def principal_from_headers(headers: list[XmlElement]) -> str | None:
+    """The principal the request headers name, or ``None`` when absent."""
     for entry in headers:
         if entry.tag == PRINCIPAL_HEADER:
-            name = (entry.text or "").strip() or None
-            raw = entry.get("priority")
-            if raw is None:
-                return name, None
-            try:
-                return name, int(raw)
-            except (TypeError, ValueError):
-                return name, None
-    return None, None
+            return (entry.text or "").strip() or None
+    return None

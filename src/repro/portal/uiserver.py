@@ -139,7 +139,6 @@ class PortalDeployment:
         slos: tuple | None = None,
         admission_capacity: float = 64.0,
         admission_lanes: dict | None = None,
-        metascheduler_policy: str = "least-loaded",
         regions: tuple[str, ...] | None = None,
         replication_seed: int = 0,
         durable: bool = False,
@@ -160,7 +159,7 @@ class PortalDeployment:
         (``admission_capacity`` requests/s of modeled service capacity;
         ``admission_lanes`` maps principal -> :class:`~repro.loadmgmt.LaneConfig`
         for weighted fair sharing), and a MetaScheduler service is stood up
-        over it with ``metascheduler_policy`` as the default placement policy.
+        over it with ``least-loaded`` as the default placement policy.
 
         ``regions`` (e.g. ``("iu", "sdsc")``) additionally stands up the
         multi-region replication topology of :mod:`repro.replication` — a
@@ -237,7 +236,7 @@ class PortalDeployment:
         )
         metascheduler, metascheduler_url = deploy_metascheduler(
             network, testbed, [globusrun_url],
-            policy=metascheduler_policy, seed=observe_seed, log=resilience,
+            seed=observe_seed, log=resilience,
         )
         replication = None
         if regions:

@@ -53,15 +53,18 @@ DISK_FULL_KIND = "disk-full"
 CLOCK_STALL_KIND = "clock-stall"
 
 #: each kind -> the arguments :meth:`ChaosMonkey.apply` reads from its
-#: events, so a schedule reader can refuse an event before it is applied
+#: events, each with its converter, so a schedule reader can refuse an
+#: event before it is applied
 KIND_ARGS = {
-    CRASH_KIND: ("host", "outage"),
-    PARTITION_KIND: ("a", "b", "mode", "duration", "loss"),
-    FLAP_KIND: ("host", "up", "down", "duration"),
-    BREAKER_FLAP_KIND: ("host", "size"),
-    LATENCY_SPIKE_KIND: ("host", "magnitude", "duration"),
-    DISK_FULL_KIND: ("host", "duration"),
-    CLOCK_STALL_KIND: ("seconds",),
+    CRASH_KIND: {"host": str, "outage": float},
+    PARTITION_KIND: {
+        "a": str, "b": str, "mode": str, "duration": float, "loss": float,
+    },
+    FLAP_KIND: {"host": str, "up": float, "down": float, "duration": float},
+    BREAKER_FLAP_KIND: {"host": str, "size": int},
+    LATENCY_SPIKE_KIND: {"host": str, "magnitude": float, "duration": float},
+    DISK_FULL_KIND: {"host": str, "duration": float},
+    CLOCK_STALL_KIND: {"seconds": float},
 }
 KINDS = tuple(KIND_ARGS)
 #: the faults of a host's network presence: a host the monkey holds down
@@ -136,33 +139,36 @@ class ChaosMonkey:
         """Inject one nemesis event: its ``kind`` is one of :data:`KINDS`
         and its ``args`` hold the draws the nemesis made for it (see
         :class:`repro.simtest.nemesis.NemesisEvent`)."""
-        kind, args = event.kind, event.args
+        kind = event.kind
+        if kind not in KIND_ARGS:
+            raise ValueError(f"unknown nemesis event kind {kind!r}")
+        args = {
+            name: convert(event.args[name])
+            for name, convert in KIND_ARGS[kind].items()
+        }
         if kind in HOST_FAULT_KINDS and self._holds_down(args["host"]):
             return
         if kind == CRASH_KIND:
-            self.inject_take_down(args["host"], float(args["outage"]))
+            self.inject_take_down(args["host"], args["outage"])
         elif kind == PARTITION_KIND:
             self.inject_partition(
-                args["a"], args["b"], args["mode"], float(args["duration"]),
-                loss=float(args["loss"]),
+                args["a"], args["b"], args["mode"], args["duration"],
+                loss=args["loss"],
             )
         elif kind == FLAP_KIND:
             self.inject_flap(
-                args["host"], float(args["up"]), float(args["down"]),
-                float(args["duration"]),
+                args["host"], args["up"], args["down"], args["duration"]
             )
         elif kind == BREAKER_FLAP_KIND:
-            self.inject_fault_burst(args["host"], int(args["size"]))
+            self.inject_fault_burst(args["host"], args["size"])
         elif kind == LATENCY_SPIKE_KIND:
             self.inject_latency_spike(
-                args["host"], float(args["magnitude"]), float(args["duration"])
+                args["host"], args["magnitude"], args["duration"]
             )
         elif kind == DISK_FULL_KIND:
-            self.inject_disk_full(args["host"], float(args["duration"]))
+            self.inject_disk_full(args["host"], args["duration"])
         elif kind == CLOCK_STALL_KIND:
-            self.clock.advance(float(args["seconds"]))
-        else:
-            raise ValueError(f"unknown nemesis event kind {kind!r}")
+            self.clock.advance(args["seconds"])
 
     # -- the fault primitives ------------------------------------------------
 

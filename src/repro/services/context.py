@@ -802,38 +802,6 @@ def deploy_context_manager(
     return impl, soap.mount(server, "/context")
 
 
-def deploy_replicated_context_manager(
-    network: VirtualNetwork,
-    hosts: tuple[str, ...] = ("context1.iu.edu", "context2.sdsc.edu"),
-    *,
-    store: ContextStore | None = None,
-    durable: bool = False,
-) -> tuple[ContextStore, list[str]]:
-    """Deploy the context manager on several hosts over one shared store.
-
-    The replicas are interchangeable front-ends — the paper's provider
-    substitution applied to a *stateful* service: because state lives in the
-    shared store, a :class:`repro.resilience.failover.FailoverClient` can
-    rotate to a surviving replica mid-session without losing contexts.
-    With ``durable=True`` the shared store journals to the first host's
-    disk.  Returns (the shared store, one endpoint URL per replica).
-    """
-    if durable and store is None:
-        from repro.durability.journal import Journal
-
-        journal = Journal(network.disk(hosts[0]), "context", clock=network.clock)
-        store = ContextStore(network.clock)
-        if len(journal):
-            store.replay(journal)
-        else:
-            store.journal = journal
-    store = store or ContextStore(network.clock)
-    endpoints = [
-        deploy_context_manager(network, host, store=store)[1] for host in hosts
-    ]
-    return store, endpoints
-
-
 def deploy_decomposed_context_services(
     network: VirtualNetwork,
     host: str = "contexts.iu.edu",

@@ -39,8 +39,9 @@ SCHEDULE_SCHEMA = "repro.simtest.schedule/v1"
 
 CRASH_MID_WRITE = "crash-mid-write"
 
-#: every event kind a schedule may hold -> the arguments its events carry
-EVENT_ARGS = {**KIND_ARGS, CRASH_MID_WRITE: ("host",)}
+#: every event kind a schedule may hold -> the arguments its events carry,
+#: each with its converter
+EVENT_ARGS = {**KIND_ARGS, CRASH_MID_WRITE: {"host": str}}
 EVENT_KINDS = tuple(EVENT_ARGS)
 
 
@@ -107,11 +108,12 @@ class NemesisSchedule:
 
     @staticmethod
     def from_json(text: str) -> "NemesisSchedule":
-        """Read a schedule document.  Raises ``ValueError``, with a one-line
-        message naming the fault and the event, on text that is not JSON or
-        not a :data:`SCHEDULE_SCHEMA` document, and on an event that could
-        not be applied: a malformed one, one of a kind outside
-        :data:`EVENT_ARGS`, or one without an argument its kind reads."""
+        """Read a schedule document, each event argument converted.  Raises
+        ``ValueError``, with a one-line message naming the fault and the
+        event, on text that is not JSON or not a :data:`SCHEDULE_SCHEMA`
+        document, and on an event that could not be applied: a malformed
+        one, one of a kind outside :data:`EVENT_ARGS`, one without an
+        argument its kind reads, or one whose argument does not convert."""
         try:
             raw = json.loads(text)
         except ValueError as err:
@@ -130,18 +132,27 @@ class NemesisSchedule:
                 raise ValueError(
                     f"event {index} is malformed: {entry!r}"
                 ) from None
-            required = EVENT_ARGS.get(event.kind)
-            if required is None:
+            converters = EVENT_ARGS.get(event.kind)
+            if converters is None:
                 raise ValueError(
                     f"event {event.describe()}: unknown kind {event.kind!r}"
                 )
-            missing = [name for name in required if name not in event.args]
+            missing = [name for name in converters if name not in event.args]
             if missing:
                 raise ValueError(
                     f"event {event.describe()}: a {event.kind} event needs "
                     + ", ".join(missing)
                 )
-            events.append(event)
+            args = dict(event.args)
+            for name, convert in converters.items():
+                try:
+                    args[name] = convert(args[name])
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"event {event.describe()}: {name}={args[name]!r} "
+                        f"does not convert to {convert.__name__}"
+                    ) from None
+            events.append(NemesisEvent(event.t, event.id, event.kind, args))
         return NemesisSchedule(seed=str(raw.get("seed", "")), events=tuple(events))
 
     def describe(self) -> str:

@@ -17,7 +17,12 @@ from repro.durability.idempotency import (
     key_from_headers,
     set_current_key,
 )
-from repro.faults import DeadlineExceededError, InvalidRequestError, PortalError
+from repro.faults import (
+    DeadlineExceededError,
+    InvalidRequestError,
+    PortalError,
+    ServiceUnavailableError,
+)
 from repro.loadmgmt.headers import principal_from_headers
 from repro.observability.context import TRACEPARENT, TraceContext
 from repro.resilience import events as resilience_events
@@ -34,7 +39,7 @@ from repro.soap.message import (
     response_envelope,
 )
 from repro.transport.http import HttpRequest, HttpResponse
-from repro.transport.network import ServiceCrash
+from repro.transport.network import ServiceCrash, TransportError
 from repro.transport.server import HttpServer
 
 # An interceptor inspects (method name, params, envelope) before dispatch and
@@ -207,7 +212,13 @@ class SoapService:
     ) -> tuple[SoapEnvelope, str]:
         """The seed dispatch path: the response, and the error code its
         caller decodes from it ("" for a result).  *span*, when tracing, is
-        the server span, marked when the response is a replay."""
+        the server span, marked when the response is a replay.
+
+        A :class:`PortalError` answers with its own fault; a
+        :class:`TransportError` (a backend this service calls is
+        unreachable) with a retryable ``Portal.ServiceUnavailable``; any
+        other exception with an unclassified ``Server`` fault.  A
+        :class:`ServiceCrash` passes: the process died."""
         method_name = envelope.body.tag.local
         idem_key = key_from_headers(envelope.headers) if envelope.headers else ""
         if self.replay_cache is not None and idem_key:
@@ -272,6 +283,18 @@ class SoapService:
             fault = SoapFault.from_portal_error(err, actor=self.name)
             # the code the caller's SoapFault.to_portal_error reconstructs
             return SoapEnvelope(fault.to_xml()), fault.to_portal_error().code
+        except TransportError as exc:
+            # a backend behind this service is unreachable: another attempt,
+            # here or at another provider, may connect
+            self.faults_returned += 1
+            fault = SoapFault.from_portal_error(
+                ServiceUnavailableError(
+                    f"transport failure behind {self.name}: {exc}",
+                    {"error": type(exc).__name__},
+                ),
+                actor=self.name,
+            )
+            return SoapEnvelope(fault.to_xml()), ServiceUnavailableError.code
         except Exception as exc:  # noqa: BLE001 - service boundary
             self.faults_returned += 1
             fault = SoapFault(
@@ -292,14 +315,10 @@ class SoapService:
         """
         if self.admission is None:
             return None
-        principal, priority = (
-            principal_from_headers(envelope.headers)
-            if envelope.headers
-            else (None, None)
+        principal = (
+            principal_from_headers(envelope.headers) if envelope.headers else None
         )
-        return self.admission.admit(
-            principal, priority=priority, method=method_name
-        )
+        return self.admission.admit(principal, method=method_name)
 
     def _shed_if_expired(self, method_name: str, deadline, ticket=None) -> None:
         """Reject work whose caller's deadline has passed — or *would* pass
@@ -382,7 +401,9 @@ class SoapService:
         The fault boundary of the wire: a request that does not parse as a
         SOAP envelope gets a ``Client`` fault, and any other failure a
         ``Server`` fault — a SOAP envelope either way, never a text body.
-        Only a :class:`ServiceCrash` passes: the process died.
+        A transport failure behind the service is the retryable
+        ``Portal.ServiceUnavailable`` (see :meth:`_dispatch`).  Only a
+        :class:`ServiceCrash` passes: the process died.
         """
         if request.method != "POST":
             return HttpResponse(405, body="SOAP endpoint requires POST")

@@ -11,12 +11,12 @@ class DemoError(PortalError):  # expected: REP202 + REP203 (no code, no retryabl
 class DemoService:
     def frob(self, value: str) -> str:
         if not value:
-            raise ValueError("value must be non-empty")  # expected: REP201
+            raise ValueError("value must be non-empty")  # expected: REP901
         return self._polish(value)
 
     def _polish(self, value: str) -> str:
         if value == "broken":
-            raise RuntimeError("cannot polish")  # expected: REP201 (via helper)
+            raise RuntimeError("cannot polish")  # expected: REP901 (via helper)
         return value.strip()
 
 

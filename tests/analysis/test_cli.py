@@ -18,7 +18,7 @@ REPO_ROOT = HERE.parents[1]
 #: temp file: a committed syntax error would break linting of the tests)
 FIXTURE_CODES = {
     "REP001", "REP101", "REP102", "REP103", "REP104",
-    "REP201", "REP202", "REP203",
+    "REP202", "REP203",
     "REP301", "REP302", "REP303",
     "REP401", "REP402", "REP403",
     "REP501", "REP502",
@@ -60,14 +60,14 @@ def test_rep002_on_unparseable_file(tmp_path, monkeypatch, capsys):
 
 def test_select_and_ignore(in_fixture_dir, capsys):
     main(["fixtures/demo", "--format", "json",
-          "--select", "REP201"])
+          "--select", "REP901"])
     report = _report(capsys)
-    assert {f["code"] for f in report["findings"]} == {"REP201"}
+    assert {f["code"] for f in report["findings"]} == {"REP901"}
 
     main(["fixtures/demo", "--format", "json",
-          "--ignore", "REP201,REP202,REP203"])
+          "--ignore", "REP901,REP202,REP203"])
     report = _report(capsys)
-    assert not {"REP201", "REP202", "REP203"} & {
+    assert not {"REP901", "REP202", "REP203"} & {
         f["code"] for f in report["findings"]
     }
 

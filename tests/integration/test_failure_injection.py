@@ -25,16 +25,19 @@ def test_globusrun_unreachable_host(deployment):
 
 def test_backend_resource_down_mid_service(deployment):
     """The web service host is up, but its grid backend is unreachable: the
-    failure surfaces as a server-side fault, not a hang or silent success."""
+    failure surfaces as a retryable ``Portal.ServiceUnavailable`` fault, not
+    a hang, a silent success or an unclassified upstream fault."""
     client = SoapClient(
         deployment.network, deployment.endpoints["globusrun"],
         GLOBUSRUN_NAMESPACE, source="ui.fail",
     )
     deployment.network.take_down("t3e.sdsc.edu")
     try:
-        with pytest.raises(Exception) as exc_info:
+        with pytest.raises(ServiceUnavailableError) as exc_info:
             client.call("run", "t3e.sdsc.edu", "echo", "x", 1, "", 60)
-        assert not isinstance(exc_info.value, AssertionError)
+        assert exc_info.value.code == "Portal.ServiceUnavailable"
+        assert exc_info.value.retryable
+        assert "t3e.sdsc.edu" in exc_info.value.message
     finally:
         deployment.network.bring_up("t3e.sdsc.edu")
 

@@ -129,19 +129,6 @@ def test_overload_shares_track_lane_weights():
         assert share == pytest.approx(weight / 6.0, rel=0.15), principal
 
 
-def test_priority_parameter_classes_an_unknown_lane():
-    clock = SimClock()
-    controller = AdmissionController(clock, capacity=10.0)
-    controller.admit("vip", priority=5)
-    assert controller.queue.lanes["vip"].priority == 5
-    # an explicit config always wins over the header's hint
-    controller2 = AdmissionController(
-        clock, capacity=10.0, lanes={"vip": LaneConfig(priority=1)}
-    )
-    controller2.admit("vip", priority=5)
-    assert controller2.queue.lanes["vip"].priority == 1
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         AdmissionController(SimClock(), capacity=0.0)

@@ -16,6 +16,7 @@ from repro.resilience.events import ResilienceLog
 from repro.resilience.policy import RetryPolicy
 from repro.soap.client import SoapClient
 from repro.soap.server import SoapService
+from repro.transport.http import HttpRequest, parse_url
 from repro.transport.network import VirtualNetwork
 from repro.transport.server import HttpServer
 
@@ -157,3 +158,27 @@ def test_admission_disabled_services_stay_seed_compatible():
     for _ in range(20):
         assert client.call("shout", "ok") == "OK"
     assert service.faults_returned == 0
+
+
+def test_a_forged_priority_attribute_buys_no_class():
+    """The principal header names a lane and nothing else: a raw request
+    claiming ``priority="9"`` lands in a default-class lane."""
+    network, _service, controller, url = _stack(capacity=10.0, max_wait=2.0)
+    body = (
+        '<env:Envelope xmlns:env="http://schemas.xmlsoap.org/soap/envelope/">'
+        '<env:Header><Principal xmlns="urn:gce:loadmgmt" priority="9">'
+        "mallory</Principal></env:Header>"
+        f'<env:Body><shout xmlns="{ECHO_NAMESPACE}"><text>hi</text></shout>'
+        "</env:Body></env:Envelope>"
+    )
+    response = network.send(
+        HttpRequest("POST", parse_url(url), {"Content-Type": "text/xml"}, body),
+        source="mallory.example",
+    )
+    assert response.status == 200
+    assert "HI" in response.body
+    [row] = controller.lane_rows()
+    assert row["lane"] == "mallory"
+    assert row["admitted"] == 1
+    assert row["priority"] == 0
+    assert row["weight"] == controller.queue.default_weight

@@ -16,10 +16,6 @@ from repro.resilience.events import ResilienceLog
 from repro.resilience.failover import FailoverClient
 from repro.resilience.policy import RetryPolicy
 from repro.services.batchscript import BSG_NAMESPACE
-from repro.services.context import (
-    CONTEXT_NAMESPACE,
-    deploy_replicated_context_manager,
-)
 from repro.transport.server import HttpServer
 
 from .conftest import IU_HOST, SDSC_HOST
@@ -204,23 +200,3 @@ def test_needs_at_least_one_endpoint(bsg_pair):
     network, _, _, _ = bsg_pair
     with pytest.raises(faults.DiscoveryError):
         FailoverClient(network, [], BSG_NAMESPACE)
-
-
-# -- stateful failover over replicated context managers -----------------------
-
-
-def test_replicated_context_survives_replica_death(bsg_pair):
-    network, _, _, _ = bsg_pair
-    store, replicas = deploy_replicated_context_manager(network)
-    client = FailoverClient(
-        network, replicas, CONTEXT_NAMESPACE,
-        breaker_policy=CircuitBreakerPolicy(failure_threshold=2, cooldown=60.0),
-    )
-    client.call("createUserContext", "gannon")
-    client.call("createProblemContext", "gannon", "black-hole")
-    network.take_down("context1.iu.edu")
-    # state created through the dead replica is visible via the survivor
-    assert client.call("hasProblemContext", "gannon", "black-hole") is True
-    client.call("createSessionContext", "gannon", "black-hole", "run-1")
-    assert client.call("listSessionContexts", "gannon", "black-hole") == ["run-1"]
-    assert store.exists("gannon/black-hole/run-1")

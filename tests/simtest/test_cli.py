@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.simtest.__main__ import main
 from repro.simtest.explorer import REPORT_SCHEMA
 
@@ -130,3 +132,18 @@ def test_event_without_its_time_is_a_usage_error(tmp_path, capsys):
     code, lines, path = _replay(tmp_path, capsys, _document(event))
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith(path + ": event 0")
+
+
+@pytest.mark.parametrize("kind, args, shown", [
+    ("crash", {"host": "globusrun.sdsc.edu", "outage": "soon"}, "outage='soon'"),
+    ("breaker-flap", {"host": "globusrun.sdsc.edu", "size": "many"}, "size='many'"),
+    ("clock-stall", {"seconds": None}, "seconds=None"),
+], ids=["crash-outage", "breaker-flap-size", "clock-stall-seconds"])
+def test_an_argument_that_does_not_convert_is_a_usage_error(
+    tmp_path, capsys, kind, args, shown
+):
+    event = {"t": 1.0, "id": 5, "kind": kind, "args": args}
+    code, lines, path = _replay(tmp_path, capsys, _document(event))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(path + ": ")
+    assert f"#5 {kind}" in lines[0] and shown in lines[0]

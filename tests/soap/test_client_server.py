@@ -5,6 +5,7 @@ from repro.faults import (
     InvalidRequestError,
     PortalError,
     ResourceNotFoundError,
+    ServiceUnavailableError,
 )
 from repro.soap.client import SoapClient
 from repro.soap.encoding import XSI_NS
@@ -17,6 +18,7 @@ from repro.soap.message import (
 )
 from repro.soap.server import SoapService
 from repro.transport.http import HttpRequest, parse_url
+from repro.transport.network import ServiceCrash, TransportError
 from repro.transport.server import HttpServer
 from repro.xmlutil.element import XmlElement
 
@@ -71,6 +73,34 @@ def test_unhandled_exception_becomes_generic_fault(client, service):
         client.fail_random()
     assert "ValueError" in str(exc_info.value)
     assert service[0].faults_returned >= 1
+
+
+def test_transport_failure_in_a_handler_is_a_retryable_unavailable_fault(network):
+    svc = SoapService("relay", "urn:relay")
+
+    def relay():
+        raise TransportError("host 'backend.example' is down")
+
+    def die():
+        raise ServiceCrash("process died")
+
+    svc.expose(relay)
+    svc.expose(die)
+    url = svc.mount(HttpServer("relay.example", network))
+    client = SoapClient(network, url, "urn:relay", source="client.example")
+    with pytest.raises(ServiceUnavailableError) as info:
+        client.call("relay")
+    assert info.value.code == "Portal.ServiceUnavailable"
+    assert info.value.retryable
+    assert info.value.detail == {"error": "TransportError"}
+    assert "backend.example" in info.value.message
+    fault = SoapFault.from_xml(client.last_response.body)
+    assert fault.detail["code"] == "Portal.ServiceUnavailable"
+    assert fault.faultactor == "relay"
+    # a process death is still no fault at all: the connection drops
+    with pytest.raises(TransportError) as died:
+        client.call("die")
+    assert not isinstance(died.value, PortalError)
 
 
 def test_header_provider_attaches_headers(network, service):
